@@ -4,7 +4,9 @@ Pre-layer-norm blocks with GELU feed-forward; the output projection is tied to
 the input embedding table. Forward passes capture per-layer, per-head attention
 matrices for the highlighting module. The backward pass is hand-derived and is
 validated against central finite differences in the test suite; running it in
-float64 (`Params.astype`) is what lets that oracle pass tight tolerances.
+float64 (`Params.astype`) is what lets that oracle pass tight tolerances. The
+forward pass keeps GELU's normal CDF in the layer cache, so the backward pass
+does not evaluate `erf` again.
 """
 
 from __future__ import annotations
@@ -157,12 +159,8 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of x * Phi(x), given the forward pass's Phi(x)."""
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 
@@ -234,7 +232,9 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, n
 
         v_in, ln2_cache = _ln_fwd(h_mid, layer["ln2_g"], layer["ln2_b"])
         f1 = v_in @ layer["w1"] + layer["b1"]
-        f2 = _gelu(f1)
+        # GELU(x) = x * Phi(x); halving is exact, so this equals 0.5 * x * (1 + erf).
+        cdf = 0.5 * (1.0 + erf(f1 / _SQRT2))
+        f2 = f1 * cdf
         h_out = h_mid + f2 @ layer["w2"] + layer["b2"]
 
         attn_maps.append(attn)
@@ -242,7 +242,7 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, n
             cache["layers"].append({
                 "h_in": h, "ln1": ln1_cache, "u": u, "q": q, "k": k, "v": v,
                 "attn": attn, "ctx": ctx, "ln2": ln2_cache, "v_in": v_in,
-                "f1": f1, "f2": f2,
+                "f1": f1, "cdf": cdf, "f2": f2,
             })
         h = h_out
 
@@ -273,7 +273,7 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         df3 = dh
         grads[prefix + "w2"] += lcache["f2"].reshape(-1, cfg.d_ff).T @ df3.reshape(-1, d)
         grads[prefix + "b2"] += df3.sum(axis=(0, 1))
-        df1 = (df3 @ layer["w2"].T) * _gelu_grad(lcache["f1"])
+        df1 = (df3 @ layer["w2"].T) * _gelu_grad(lcache["f1"], lcache["cdf"])
         grads[prefix + "w1"] += lcache["v_in"].reshape(-1, d).T @ df1.reshape(-1, cfg.d_ff)
         grads[prefix + "b1"] += df1.sum(axis=(0, 1))
         dv_in = df1 @ layer["w1"].T
@@ -428,8 +428,8 @@ def load_checkpoint(path: str | Path) -> Params:
     sidecar_path = Path(str(path) + ".json")
     if not path.exists() or not sidecar_path.exists():
         raise CheckpointError(f"checkpoint or sidecar missing: {path}")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = ModelConfig(**sidecar["model"])
         declared = [(t["name"], tuple(t["shape"])) for t in sidecar["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -165,10 +165,9 @@ def topk_tokens(probs: np.ndarray, vocab: Vocab, k: int,
     """The k most probable non-special tokens, ties broken by id ascending."""
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
-    banned = set(vocab.special_ids)
+    allowed = vocab.non_special_ids
     if exclude:
-        banned |= set(exclude)
-    allowed = np.asarray([i for i in range(vocab.size) if i not in banned], dtype=np.int64)
+        allowed = allowed[~np.isin(allowed, list(exclude))]
     if k > allowed.size:
         logger.warning(kv(event="topk_clamped", requested=k, available=int(allowed.size)))
         k = int(allowed.size)

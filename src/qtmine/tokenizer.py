@@ -4,6 +4,11 @@ Token ids are laid out densely: ids 0..255 are the single bytes, followed by
 the special tokens, followed by merge outputs in the order they were learned.
 There is no pre-tokenizer; merges are learned and applied directly on the raw
 byte stream of each document, so encode/decode is lossless for any UTF-8 text.
+
+Training and encoding share one structure: the bytes as a doubly linked list
+plus a lazy heap of candidate pairs. `encode` is an O(n log n) heap merge whose
+output equals applying the merges one rank at a time; the quadratic reference
+implementations in the test suite check both paths.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ import base64
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataFormatError
 from .util import get_logger, kv
@@ -68,6 +76,18 @@ class Vocab:
     @property
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.special.values())
+
+    @cached_property
+    def is_special(self) -> np.ndarray:
+        """Boolean lookup over token ids: True at the special ids."""
+        table = np.zeros(self.size, dtype=bool)
+        table[list(self.special.values())] = True
+        return table
+
+    @cached_property
+    def non_special_ids(self) -> np.ndarray:
+        """Every non-special token id, ascending."""
+        return np.flatnonzero(~self.is_special)
 
     def merge_rank(self) -> dict[tuple[int, int], int]:
         if self._rank is None:
@@ -171,6 +191,10 @@ def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
             a, b = pair
             heapq.heappush(heap, (-c, tokens[a] + tokens[b], tokens[a], pair))
 
+    # Pairs whose count changed during the current merge's sweep; each is
+    # pushed once, with its final count, when the sweep ends.
+    touched: set[tuple[int, int]] = set()
+
     def bump(pair: tuple[int, int], delta: int, left_pos: int | None = None) -> None:
         c = counts.get(pair, 0) + delta
         if c <= 0:
@@ -179,7 +203,7 @@ def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
             counts[pair] = c
         if delta > 0 and left_pos is not None:
             occ.setdefault(pair, []).append(left_pos)
-        push(pair)
+        touched.add(pair)
 
     for pair in counts:
         push(pair)
@@ -218,6 +242,9 @@ def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
             if n != -1:
                 bump((new_id, ids[n]), +1, i)
         counts.pop(pair, None)
+        for t in touched:
+            push(t)
+        touched.clear()
 
     log.info(kv(event="bpe_trained", vocab_size=len(tokens), merges=len(vocab.merges)))
     return vocab
@@ -226,40 +253,55 @@ def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
 def encode(vocab: Vocab, text: str) -> TokenSeq:
     """Tokenize text by applying the learned merges in order to its byte stream.
 
+    The bytes form a doubly linked list and every adjacent pair with a merge
+    rank sits in a min-heap keyed by (rank, left position), so each merge
+    costs O(log n). Equal-rank occurrences pop in ascending position, which is
+    the greedy left-to-right rule ("aaa" -> [aa, a]), and a pair containing a
+    newly merged token always ranks after that token, so the result equals
+    applying the merges one rank at a time over the whole sequence.
+
     Special ids are never produced from raw text; the 256 byte tokens guarantee
     coverage of any UTF-8 input.
     """
-    seq: list[int] = list(text.encode("utf-8"))
-    if len(seq) < 2:
-        return seq
+    ids: list[int] = list(text.encode("utf-8"))
+    n = len(ids)
+    if n < 2:
+        return ids
     rank = vocab.merge_rank()
-    while True:
-        best_rank = None
-        best_pair = None
-        prev_tok = seq[0]
-        for tok in seq[1:]:
-            r = rank.get((prev_tok, tok))
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-                best_pair = (prev_tok, tok)
-            prev_tok = tok
-        if best_pair is None:
-            return seq
-        a, b = best_pair
-        new_id = N_BYTES + len(SPECIAL_NAMES) + best_rank
-        merged: list[int] = []
-        i = 0
-        n = len(seq)
-        while i < n:
-            if i + 1 < n and seq[i] == a and seq[i + 1] == b:
-                merged.append(new_id)
-                i += 2
-            else:
-                merged.append(seq[i])
-                i += 1
-        seq = merged
-        if len(seq) < 2:
-            return seq
+    first_merged = N_BYTES + len(SPECIAL_NAMES)
+    nxt = list(range(1, n + 1))
+    nxt[-1] = -1
+    prv = list(range(-1, n - 1))
+    heap = [(r, i) for i in range(n - 1) if (r := rank.get((ids[i], ids[i + 1]))) is not None]
+    heapq.heapify(heap)
+    while heap:
+        r, i = heapq.heappop(heap)
+        a = ids[i]
+        j = nxt[i]
+        # Skip stale entries: the left node was absorbed, or its pair changed.
+        if a == -1 or j == -1 or rank.get((a, ids[j])) != r:
+            continue
+        new_id = first_merged + r
+        ids[i] = new_id
+        ids[j] = -1
+        k = nxt[j]
+        nxt[i] = k
+        if k != -1:
+            prv[k] = i
+            rk = rank.get((new_id, ids[k]))
+            if rk is not None:
+                heapq.heappush(heap, (rk, i))
+        p = prv[i]
+        if p != -1:
+            rp = rank.get((ids[p], new_id))
+            if rp is not None:
+                heapq.heappush(heap, (rp, p))
+    out: list[int] = []
+    i = 0
+    while i != -1:
+        out.append(ids[i])
+        i = nxt[i]
+    return out
 
 
 def decode(vocab: Vocab, seq: TokenSeq) -> str:
@@ -303,8 +345,8 @@ def load_vocab(path: str | Path) -> Vocab:
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"vocab file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
     try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
         vocab = Vocab(
             tokens=[_token_from_json(t) for t in doc["tokens"]],
             merges=[(int(a), int(b)) for a, b in doc["merges"]],

@@ -104,13 +104,8 @@ def build_windows(vocab: Vocab, texts: Sequence[str], max_seq: int) -> list[np.n
     return windows
 
 
-def _non_special_ids(vocab: Vocab) -> np.ndarray:
-    specials = vocab.special_ids
-    return np.asarray([i for i in range(vocab.size) if i not in specials], dtype=np.int64)
-
-
 def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
-                 cfg: TrainConfig, non_special: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corrupt one window. Returns (corrupted, delta, labels).
 
     Each non-special position is targeted independently with probability
@@ -118,7 +113,7 @@ def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
     otherwise is replaced by a random non-special token different from the
     original (a colliding draw is shifted to the next non-special id).
     """
-    eligible = ~np.isin(row, np.asarray(sorted(vocab.special_ids)))
+    eligible = ~vocab.is_special[row]
     delta = eligible & (rng.random(row.shape[0]) < cfg.mask_rate)
     corrupted = row.copy()
     idx = np.flatnonzero(delta)
@@ -128,6 +123,7 @@ def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
         corrupted[idx[to_mask]] = vocab.mask_id
         rand_idx = idx[~to_mask]
         if rand_idx.size:
+            non_special = vocab.non_special_ids
             draws = rng.integers(0, non_special.size, size=rand_idx.size)
             repl = non_special[draws]
             collide = repl == row[rand_idx]
@@ -137,7 +133,7 @@ def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
 
 
 def mask_batch(rng: np.random.Generator, rows: Sequence[np.ndarray], vocab: Vocab,
-               cfg: TrainConfig, non_special: np.ndarray) -> MaskedBatch:
+               cfg: TrainConfig) -> MaskedBatch:
     """Pad rows to a common length and corrupt each one."""
     b = len(rows)
     s = max(r.shape[0] for r in rows)
@@ -146,7 +142,7 @@ def mask_batch(rng: np.random.Generator, rows: Sequence[np.ndarray], vocab: Voca
     lengths = np.asarray([r.shape[0] for r in rows], dtype=np.int64)
     labels_parts = []
     for i, row in enumerate(rows):
-        corrupted, d, lab = dynamic_mask(rng, row, vocab, cfg, non_special)
+        corrupted, d, lab = dynamic_mask(rng, row, vocab, cfg)
         ids[i, : row.shape[0]] = corrupted
         delta[i, : row.shape[0]] = d
         labels_parts.append(lab)
@@ -190,12 +186,12 @@ class AdamState:
 
 
 def _eval_batches(rng: np.random.Generator, windows: list[np.ndarray], vocab: Vocab,
-                  cfg: TrainConfig, non_special: np.ndarray) -> list[MaskedBatch]:
+                  cfg: TrainConfig) -> list[MaskedBatch]:
     """Fixed masked batches so evaluation is comparable across steps."""
     batches = []
     for start in range(0, len(windows), cfg.batch_size):
         rows = windows[start:start + cfg.batch_size]
-        batches.append(mask_batch(rng, rows, vocab, cfg, non_special))
+        batches.append(mask_batch(rng, rows, vocab, cfg))
     return batches
 
 
@@ -231,7 +227,6 @@ def train(
     if not windows:
         raise QtmineError("no trainable windows: corpus is empty after encoding")
     rng = np.random.default_rng(seed)
-    non_special = _non_special_ids(vocab)
 
     per_epoch = (len(windows) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = per_epoch * cfg.n_epochs
@@ -241,7 +236,7 @@ def train(
     if eval_texts:
         eval_windows = build_windows(vocab, eval_texts, max_seq)
         eval_batches = _eval_batches(np.random.default_rng(rng.integers(2**63)),
-                                     eval_windows, vocab, cfg, non_special)
+                                     eval_windows, vocab, cfg)
 
     logger.info(kv(event="train_start", windows=len(windows), steps=run_steps,
                    per_epoch=per_epoch, batch_size=cfg.batch_size, lr=cfg.lr))
@@ -257,7 +252,7 @@ def train(
         for start in range(0, len(windows), cfg.batch_size):
             step += 1
             rows = [windows[i] for i in order[start:start + cfg.batch_size]]
-            batch = mask_batch(rng, rows, vocab, cfg, non_special)
+            batch = mask_batch(rng, rows, vocab, cfg)
             loss, grads = mlm_loss(params, batch)
             if not np.isfinite(loss):
                 raise QtmineError(f"non-finite loss {loss} at step {step}")
@@ -293,8 +288,7 @@ def perplexity(params: M.Params, vocab: Vocab, texts: Sequence[str],
     windows = build_windows(vocab, texts, params.config.max_seq)
     if not windows:
         raise QtmineError("perplexity needs at least one non-empty document")
-    non_special = _non_special_ids(vocab)
-    batches = _eval_batches(np.random.default_rng(seed), windows, vocab, cfg, non_special)
+    batches = _eval_batches(np.random.default_rng(seed), windows, vocab, cfg)
     ce = eval_ce(params, batches)
     if ce is None:
         raise QtmineError("masking targeted no positions; corpus too small")
@@ -317,12 +311,11 @@ def kshot_finetune(
     if not windows:
         raise QtmineError("no trainable windows in fine-tuning texts")
     rng = np.random.default_rng(seed)
-    non_special = _non_special_ids(vocab)
     adam = AdamState(tuned, base)
     for step in range(1, n_steps + 1):
         pick = rng.integers(0, len(windows), size=min(base.batch_size, len(windows)))
         rows = [windows[i] for i in pick]
-        batch = mask_batch(rng, rows, vocab, base, non_special)
+        batch = mask_batch(rng, rows, vocab, base)
         loss, grads = mlm_loss(tuned, batch)
         if not np.isfinite(loss):
             raise QtmineError(f"non-finite loss {loss} at fine-tune step {step}")

@@ -8,6 +8,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .errors import QtmineError
+
 T = TypeVar("T")
 U = TypeVar("U")
 
@@ -46,9 +48,9 @@ def max_workers() -> int:
         try:
             n = int(env)
         except ValueError:
-            raise ValueError(f"QTMINE_THREADS must be an integer, got {env!r}")
+            raise QtmineError(f"QTMINE_THREADS must be an integer, got {env!r}") from None
         if n < 1:
-            raise ValueError(f"QTMINE_THREADS must be >= 1, got {n}")
+            raise QtmineError(f"QTMINE_THREADS must be >= 1, got {n}")
         return n
     return os.cpu_count() or 1
 

@@ -18,6 +18,7 @@ probe from the training-time tokenization.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,35 @@ def synth_doc_dicts() -> list[dict]:
 def synth_texts() -> list[str]:
     return ["\n".join(p for p in (d["title"], d["abstract"], d["body"]) if p)
             for d in synth_doc_dicts()]
+
+
+def _random_utf8(rng: random.Random) -> str:
+    pieces = []
+    for _ in range(rng.randint(0, 120)):
+        r = rng.random()
+        if r < 0.35:
+            pieces.append(chr(rng.randint(32, 126)))
+        elif r < 0.55:
+            pieces.append(chr(rng.randint(0xA0, 0x2FF)))
+        elif r < 0.70:
+            pieces.append(chr(rng.randint(0x4E00, 0x9FFF)))
+        elif r < 0.80:
+            pieces.append(chr(rng.randint(0x1F300, 0x1F64F)))
+        elif r < 0.90:
+            pieces.append(rng.choice(["<mask>", "<pad>", " ", "\n", "\t", "."]))
+        else:
+            cp = rng.randint(0, 0x10FFFF)
+            while 0xD800 <= cp <= 0xDFFF:
+                cp = rng.randint(0, 0x10FFFF)
+            pieces.append(chr(cp))
+    return "".join(pieces)
+
+
+def round_trip_strings(n: int = 1000, seed: int = 20260815) -> list[str]:
+    """Acceptance criterion 1's string set: edge cases, then random UTF-8."""
+    rng = random.Random(seed)
+    texts = ["", "\x00", "a", "aaa" * 40, "<mask><eos>", "été café"]
+    return texts + [_random_utf8(rng) for _ in range(n - len(texts))]
 
 
 def write_synth_corpus(path: str | Path) -> Path:

@@ -9,7 +9,6 @@ the unit suites, but at the stated scale and tolerances.
 from __future__ import annotations
 
 import math
-import random
 import time
 from collections import Counter
 
@@ -33,36 +32,12 @@ from qtmine.tokenizer import decode, encode, save_vocab, train_bpe
 # 1. tokenizer: random round-trips and bit-stable retraining
 
 
-def _random_utf8(rng: random.Random) -> str:
-    pieces = []
-    for _ in range(rng.randint(0, 120)):
-        r = rng.random()
-        if r < 0.35:
-            pieces.append(chr(rng.randint(32, 126)))
-        elif r < 0.55:
-            pieces.append(chr(rng.randint(0xA0, 0x2FF)))
-        elif r < 0.70:
-            pieces.append(chr(rng.randint(0x4E00, 0x9FFF)))
-        elif r < 0.80:
-            pieces.append(chr(rng.randint(0x1F300, 0x1F64F)))
-        elif r < 0.90:
-            pieces.append(rng.choice(["<mask>", "<pad>", " ", "\n", "\t", "."]))
-        else:
-            cp = rng.randint(0, 0x10FFFF)
-            while 0xD800 <= cp <= 0xDFFF:
-                cp = rng.randint(0, 0x10FFFF)
-            pieces.append(chr(cp))
-    return "".join(pieces)
-
-
 def test_tokenizer_round_trip_and_stable_retrain(synth_texts, tmp_path):
     t0 = time.perf_counter()
     corpus = synth_texts[:300]
     vocab = train_bpe(corpus, 480)
 
-    rng = random.Random(20260815)
-    texts = ["", "\x00", "a", "aaa" * 40, "<mask><eos>", "été café"]
-    texts += [_random_utf8(rng) for _ in range(1000 - len(texts))]
+    texts = synth.round_trip_strings()
     failures = sum(decode(vocab, encode(vocab, s)) != s for s in texts)
 
     retrained = train_bpe(corpus, 480)
@@ -150,7 +125,7 @@ def test_masking_rates_over_100k_positions(tiny_setup):
     total = targeted = masked = randomized = 0
     while total < 100_000:
         row = rng.choice(non_special, size=500)
-        corrupted, delta, labels = T.dynamic_mask(rng, row, vocab, cfg, non_special)
+        corrupted, delta, labels = T.dynamic_mask(rng, row, vocab, cfg)
         total += row.size
         targeted += int(delta.sum())
         masked += int((corrupted[delta] == vocab.mask_id).sum())

@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,7 @@ import pytest
 import synth
 from qtmine.cli import _parse_years, build_parser, main
 from qtmine.config import RunConfig, apply_overrides, load_config
-from qtmine.errors import DataFormatError
+from qtmine.errors import DataFormatError, QtmineError
 from qtmine.highlight import parse_html_scores
 from qtmine.model import load_checkpoint
 from qtmine.tokenizer import load_vocab
@@ -128,10 +132,10 @@ def test_max_workers_reads_environment(monkeypatch):
     monkeypatch.setenv("QTMINE_THREADS", "3")
     assert max_workers() == 3
     monkeypatch.setenv("QTMINE_THREADS", "0")
-    with pytest.raises(ValueError):
+    with pytest.raises(QtmineError):
         max_workers()
     monkeypatch.setenv("QTMINE_THREADS", "abc")
-    with pytest.raises(ValueError):
+    with pytest.raises(QtmineError):
         max_workers()
     monkeypatch.delenv("QTMINE_THREADS")
     assert max_workers() >= 1
@@ -471,3 +475,54 @@ def test_missing_corpus_setting_exits_nonzero(capsys):
     err = capsys.readouterr().err
     assert "error type=DataFormatError" in err
     assert "missing required setting: corpus" in err
+
+
+# ---------------------------------------------------------------------------
+# bad inputs end in one typed error line, never a traceback
+
+
+def run_cli_process(args, **env):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full_env = {**os.environ, **env}
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, full_env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qtmine.cli", *args],
+                          capture_output=True, text=True, env=full_env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def assert_one_typed_error(rc, err, error_type):
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error ")]
+    assert len(lines) == 1, err
+    assert re.fullmatch(rf"error type={error_type} msg=.+", lines[0]), lines[0]
+
+
+def test_vocab_with_trailing_garbage_is_a_typed_error(ws, tmp_path):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(Path(ws["vocab"]).read_text(encoding="utf-8") + "}garbage",
+                     encoding="utf-8")
+    rc, err = run_cli_process(["--config", ws["config"], "qt", "--vocab", str(vocab),
+                               "--checkpoint", ws["ckpt"], "--query", "x <mask>"])
+    assert_one_typed_error(rc, err, "DataFormatError")
+
+
+def test_checkpoint_sidecar_with_trailing_garbage_is_a_typed_error(ws, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copyfile(ws["ckpt"], ckpt)
+    sidecar = Path(ws["ckpt"] + ".json").read_text(encoding="utf-8")
+    Path(str(ckpt) + ".json").write_text(sidecar + "}garbage", encoding="utf-8")
+    rc, err = run_cli_process(["--config", ws["config"], "qt", "--vocab", ws["vocab"],
+                               "--checkpoint", str(ckpt), "--query", "x <mask>"])
+    assert_one_typed_error(rc, err, "CheckpointError")
+
+
+@pytest.mark.parametrize("threads", ["zero", "0"])
+def test_bad_thread_setting_is_a_typed_error(ws, tmp_path, threads):
+    rc, err = run_cli_process(["--config", ws["config"], "train-tokenizer",
+                               "--out", str(tmp_path / "vocab.json")],
+                              QTMINE_THREADS=threads)
+    assert_one_typed_error(rc, err, "QtmineError")
+    assert "QTMINE_THREADS" in err

@@ -8,6 +8,7 @@ bookkeeping bug in the fast path cannot hide.
 import numpy as np
 import pytest
 
+import synth
 from qtmine.errors import DataFormatError
 from qtmine.tokenizer import (
     N_BYTES,
@@ -109,11 +110,44 @@ def test_trainer_matches_naive_reference_unicode():
     assert vocab.tokens == ref_tokens
 
 
+def test_trainer_matches_naive_reference_over_hundreds_of_merges():
+    # Enough merges that one sweep touches many pairs at once, so the heap
+    # pushes batched at the end of each sweep are exercised.
+    texts = random_texts(np.random.default_rng(11), 300)
+    vocab = train_bpe(texts, 700)
+    ref_tokens, ref_merges = naive_train(texts, 700)
+    assert len(ref_merges) >= 300
+    assert vocab.merges == ref_merges
+    assert vocab.tokens == ref_tokens
+
+
 def test_encoder_matches_naive_reference():
     vocab = train_bpe(SMALL_CORPUS, 330)
     rng = np.random.default_rng(20260815)
     for text in SMALL_CORPUS + random_texts(rng, 200):
         assert encode(vocab, text) == naive_encode(vocab, text), repr(text)
+
+
+def test_encoder_matches_naive_reference_on_synth_corpus(synth_texts, synth_vocab):
+    for text in synth_texts:
+        assert encode(synth_vocab, text) == naive_encode(synth_vocab, text), repr(text)
+
+
+def test_encoder_matches_naive_reference_on_round_trip_strings(synth_texts):
+    vocab = train_bpe(synth_texts[:300], 480)
+    for text in synth.round_trip_strings():
+        assert encode(vocab, text) == naive_encode(vocab, text), repr(text)
+
+
+def test_encoder_matches_naive_reference_on_adversarial_runs():
+    # Long runs of one merge rank, overlapping occurrences, and text made of
+    # multi-byte code points only, so every merge joins partial characters.
+    vocab = train_bpe(["a" * 64, "ab" * 64, "日本語" * 20, "αβγ🌊" * 20] * 2, 400)
+    assert len(vocab.merges) > 10
+    texts = ["a" * 513, "ab" * 300, "ab" * 300 + "a", "b" + "ab" * 300,
+             "日本語" * 90, "αβγ🌊" * 90, "日" * 200, "aab" * 170]
+    for text in texts:
+        assert encode(vocab, text) == naive_encode(vocab, text), repr(text[:20])
 
 
 def test_equal_rank_occurrences_merge_left_to_right():
@@ -155,6 +189,14 @@ def test_special_ids_and_layout():
     assert specials == list(range(N_BYTES, N_BYTES + 5))
     assert vocab.special_ids == frozenset(specials)
     vocab.validate()
+
+
+def test_special_tables_match_special_ids():
+    vocab = train_bpe(SMALL_CORPUS, 300)
+    assert vocab.is_special.shape == (vocab.size,)
+    assert set(np.flatnonzero(vocab.is_special)) == vocab.special_ids
+    expected = [i for i in range(vocab.size) if i not in vocab.special_ids]
+    assert vocab.non_special_ids.tolist() == expected
 
 
 def test_retrain_is_byte_identical(tmp_path):
