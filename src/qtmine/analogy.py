@@ -25,9 +25,9 @@ import numpy as np
 from . import model as M
 from .corpus import AnalogyItem, group_by_category
 from .errors import EvalError
-from .qt import QuerySpec, masked_span_query, mlm_predict, topk_tokens
+from .qt import QuerySpec, masked_span_query, predict_queries, topk_tokens
 from .tokenizer import Vocab
-from .util import get_logger, kv, pmap
+from .util import get_logger, kv
 
 logger = get_logger()
 
@@ -69,10 +69,8 @@ def render_analogy(vocab: Vocab, item: AnalogyItem) -> tuple[QuerySpec, tuple[in
     return masked_span_query(vocab, sentence, start, len(sentence.encode("utf-8")))
 
 
-def _item_correct(params: M.Params, vocab: Vocab, item: AnalogyItem) -> tuple[bool, bool]:
+def _item_correct(probs: np.ndarray, gold: Sequence[int], vocab: Vocab) -> tuple[bool, bool]:
     """(top-1 correct, top-5 correct) with the all-positions rule."""
-    query, gold = render_analogy(vocab, item)
-    probs = mlm_predict(params, query)
     ok1 = ok5 = True
     for p, gold_id in zip(probs, gold):
         top5 = [tid for tid, _, _ in topk_tokens(p, vocab, 5)]
@@ -95,7 +93,9 @@ def eval_analogies(params: M.Params, vocab: Vocab, items: Sequence[AnalogyItem],
     if not kept:
         raise EvalError("no analogy items left after exclusion")
 
-    results = pmap(lambda it: _item_correct(params, vocab, it), kept)
+    queries, golds = zip(*(render_analogy(vocab, it) for it in kept))
+    results = [_item_correct(probs, gold, vocab)
+               for probs, gold in zip(predict_queries(params, queries), golds)]
     per_cat: dict[str, list[tuple[bool, bool]]] = {}
     subcat_of: dict[str, str] = {}
     for item, res in zip(kept, results):

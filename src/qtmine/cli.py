@@ -1,9 +1,9 @@
 """Command-line front end: every pipeline stage as a subcommand.
 
-Flags override the JSON config; apart from QTMINE_THREADS (parallelism cap)
-there is no environment configuration. Output files contain no timestamps —
-the only timestamp of a run is in the first log line — so a rerun with the
-same config and seed reproduces every artifact byte for byte.
+Flags override the JSON config; there is no environment configuration.
+Output files contain no timestamps — the only timestamp of a run is in the
+first log line — so a rerun with the same config and seed reproduces every
+artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .corpus import (DocumentSet, load_aliases, load_analogies, load_approvals,
                      load_corpus, load_trials)
 from .errors import DataFormatError, QtmineError
 from .tokenizer import load_vocab, save_vocab, train_bpe
-from .util import get_logger, kv, max_workers, setup_logging
+from .util import get_logger, kv, setup_logging
 
 logger = get_logger()
 
@@ -377,8 +377,7 @@ def main(argv=None) -> int:
             if hasattr(args, name):
                 apply_overrides(cfg, **{name: getattr(args, name)})
         logger.info(kv(event="start", command=args.command,
-                       time=datetime.now(timezone.utc).isoformat(),
-                       threads=max_workers(), seed=cfg.seed))
+                       time=datetime.now(timezone.utc).isoformat(), seed=cfg.seed))
         return args.func(args, cfg)
     except QtmineError as exc:
         print(f"error type={type(exc).__name__} msg={exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ query token — the softmax over the sequence of each position's hidden-state
 affinity with the mean target embedding.
 
 Passage highlighting splits text into sentences whose spans tile the passage
-exactly, scores each sentence through a masked template against the target
-term, max-normalizes, and renders to ANSI (5 intensity buckets) and to a
-standalone HTML file (one span per sentence, score kept at 6 decimals).
+exactly, scores all sentences through a masked template against the target
+term in one batched model call, max-normalizes, and renders to ANSI (5
+intensity buckets) and to a standalone HTML file (one span per sentence, score
+kept at 6 decimals).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import model as M
 from .errors import EvalError
-from .qt import QuerySpec, TargetSpec, qt_score
+from .qt import QuerySpec, TargetSpec, predict_queries, score_probs
 from .tokenizer import Vocab, decode, encode
-from .util import get_logger, kv, pmap
+from .util import get_logger, kv
 
 logger = get_logger()
 
@@ -130,8 +131,8 @@ def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term:
                       agg: str = "mean") -> HighlightDoc:
     """Score each sentence against the target term and max-normalize.
 
-    Whitespace-only sentences score zero; all other sentences are scored in
-    parallel and reassembled in passage order.
+    Whitespace-only sentences score zero; all other sentences are rendered
+    and scored in one batched model call.
     """
     if SENTENCE_SLOT not in template:
         raise EvalError(f"highlight template must contain {SENTENCE_SLOT}")
@@ -141,14 +142,12 @@ def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term:
     target = TargetSpec.from_phrase(vocab, target_term)
     max_seq = params.config.max_seq
 
-    def score_span(span: tuple[int, int]) -> float:
-        text = passage[span[0]:span[1]].strip()
-        if not text:
-            return 0.0
-        query = _fit_sentence(vocab, text, template, max_seq)
-        return qt_score(params, query, target, agg=agg).aggregate
-
-    raw = pmap(score_span, spans)
+    texts = [passage[s:e].strip() for s, e in spans]
+    scored = [i for i, text in enumerate(texts) if text]
+    queries = [_fit_sentence(vocab, texts[i], template, max_seq) for i in scored]
+    raw = [0.0] * len(spans)
+    for i, probs in zip(scored, predict_queries(params, queries)):
+        raw[i] = score_probs(probs, target, agg=agg).aggregate
     peak = max(raw)
     norm = [r / peak if peak > 0.0 else 0.0 for r in raw]
     sentences = tuple(

@@ -7,6 +7,11 @@ validated against central finite differences in the test suite; running it in
 float64 (`Params.astype`) is what lets that oracle pass tight tolerances. The
 forward pass keeps GELU's normal CDF in the layer cache, so the backward pass
 does not evaluate `erf` again.
+
+Scoring reads the vocabulary distribution only where a query asks for it:
+`predict_masked` pads many sequences into key-padding-masked batches and
+projects onto the vocabulary at the requested positions alone. `forward`
+serves the attention views and is the tests' per-sequence reference.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf, ndtri
 
-from .errors import CheckpointError, QtmineError
+from .errors import CheckpointError, DataFormatError, QtmineError
 
 LN_EPS = 1e-5
 NEG_INF = -1e9
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# Sequences per padded batch in predict_masked; bounds scoring memory for
+# large query sets (an analogy file, a long passage).
+PREDICT_BATCH = 64
 
 CHECKPOINT_MAGIC = b"QTMNCKPT"
 CHECKPOINT_VERSION = 1
@@ -46,11 +54,11 @@ class ModelConfig:
 
     def __post_init__(self):
         if min(self.n_layers, self.n_heads, self.d_model, self.d_ff, self.vocab_size) <= 0:
-            raise ValueError("all model dimensions must be positive")
+            raise DataFormatError("all model dimensions must be positive")
         if self.max_seq < 2:
-            raise ValueError(f"max_seq must be >= 2, got {self.max_seq}")
+            raise DataFormatError(f"max_seq must be >= 2, got {self.max_seq}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise DataFormatError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
     @property
     def d_head(self) -> int:
@@ -314,16 +322,27 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
     return grads
 
 
-def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
-    """Run one sequence through the model; deterministic for fixed inputs."""
-    ids = np.asarray(seq, dtype=np.int64).reshape(1, -1)
-    if ids.shape[1] == 0:
-        raise QtmineError("cannot run forward on an empty sequence")
+def _vocab_logits(params: Params, rows: np.ndarray) -> np.ndarray:
+    """The tied MLM head: final hidden rows (..., d) onto the vocabulary (..., V)."""
+    return rows @ params.emb.T + params.out_bias
+
+
+def _check_ids(params: Params, seq) -> np.ndarray:
+    """One sequence as a 1-D int64 array; empty or out-of-vocabulary ids are fatal."""
+    ids = np.asarray(seq, dtype=np.int64).reshape(-1)
+    if ids.size == 0:
+        raise QtmineError("cannot run the model on an empty sequence")
     if ids.max() >= params.config.vocab_size or ids.min() < 0:
         raise QtmineError(f"token id out of range for vocab_size {params.config.vocab_size}")
+    return ids
+
+
+def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
+    """Run one sequence through the model; deterministic for fixed inputs."""
+    ids = _check_ids(params, seq).reshape(1, -1)
     hf, attn_maps, _ = _forward_core(params, ids, lengths=None, need_cache=False)
     hidden = hf[0]
-    logits = hidden @ params.emb.T + params.out_bias
+    logits = _vocab_logits(params, hidden)
     attentions = np.stack([a[0] for a in attn_maps]) if collect_attention and attn_maps else np.zeros(
         (0, params.config.n_heads, ids.shape[1], ids.shape[1]), dtype=params.dtype
     )
@@ -336,6 +355,43 @@ def softmax_position(out: ForwardOut, t: int) -> np.ndarray:
     if not 0 <= t < s:
         raise QtmineError(f"position {t} out of range for sequence length {s}")
     return stable_softmax(out.logits[t])
+
+
+def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
+    """Vocabulary distributions at the requested positions of many sequences.
+
+    Entry i of the result is a (len(positions[i]), vocab_size) array whose rows
+    are the probability vectors at positions[i] of seqs[i]. Sequences are
+    sorted by (length, ids) and padded, PREDICT_BATCH at a time, into (B, S)
+    batches with a key-padding mask, so padding never changes a valid
+    position's output; the vocabulary head runs at the requested positions
+    only. Because the batches depend only on the set of sequences, each result
+    is the same whatever the input order.
+    """
+    if len(seqs) != len(positions):
+        raise QtmineError(f"{len(seqs)} sequences but {len(positions)} position lists")
+    ids = [_check_ids(params, seq) for seq in seqs]
+    pos = [np.asarray(p, dtype=np.int64).reshape(-1) for p in positions]
+    for seq, p in zip(ids, pos):
+        if p.size and not (0 <= p.min() and p.max() < seq.size):
+            raise QtmineError(f"positions {p.tolist()} out of range for sequence length {seq.size}")
+
+    order = sorted(range(len(ids)), key=lambda i: (ids[i].size, ids[i].tolist()))
+    out: list[np.ndarray] = [np.empty(0)] * len(ids)
+    for lo in range(0, len(order), PREDICT_BATCH):
+        chunk = order[lo:lo + PREDICT_BATCH]
+        lengths = np.array([ids[i].size for i in chunk])
+        batch = np.zeros((len(chunk), lengths.max()), dtype=np.int64)
+        for row, i in enumerate(chunk):
+            batch[row, :lengths[row]] = ids[i]
+        hf, _, _ = _forward_core(params, batch, lengths, need_cache=False)
+        counts = [pos[i].size for i in chunk]
+        rows = np.repeat(np.arange(len(chunk)), counts)
+        cols = np.concatenate([pos[i] for i in chunk])
+        probs = stable_softmax(_vocab_logits(params, hf[rows, cols]))
+        for i, part in zip(chunk, np.split(probs, np.cumsum(counts)[:-1])):
+            out[i] = part
+    return out
 
 
 def loss_and_grads(
@@ -362,7 +418,7 @@ def loss_and_grads(
 
     hf, _, cache = _forward_core(params, ids, lengths, need_cache=True)
     rows = hf[delta]                                  # (T, d)
-    z = rows @ params.emb.T + params.out_bias         # (T, V)
+    z = _vocab_logits(params, rows)                   # (T, V)
 
     zmax = z.max(axis=-1, keepdims=True)
     ez = np.exp(z - zmax)
@@ -393,7 +449,7 @@ def eval_loss(params: Params, ids: np.ndarray, lengths: np.ndarray | None,
     if n_targeted == 0:
         return 0.0, 0
     hf, _, _ = _forward_core(params, ids, lengths, need_cache=False)
-    z = hf[delta] @ params.emb.T + params.out_bias
+    z = _vocab_logits(params, hf[delta])
     zmax = z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z - zmax).sum(axis=-1)) + zmax[:, 0]
     ce = lse - z[np.arange(n_targeted), labels]
@@ -423,7 +479,7 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Params:
-    """Read a checkpoint; any truncation or shape mismatch is fatal."""
+    """Read a checkpoint; any truncation, shape mismatch or non-finite weight is fatal."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not path.exists() or not sidecar_path.exists():
@@ -432,7 +488,7 @@ def load_checkpoint(path: str | Path) -> Params:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = ModelConfig(**sidecar["model"])
         declared = [(t["name"], tuple(t["shape"])) for t in sidecar["tensors"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataFormatError) as exc:
         raise CheckpointError(f"malformed sidecar {sidecar_path}: {exc}") from exc
 
     template = init_params(config, seed=0, stddev=0.0)
@@ -459,6 +515,9 @@ def load_checkpoint(path: str | Path) -> Params:
     offset = 0
     for name, arr in template.named_tensors():
         n = arr.size
-        arr[...] = data[offset:offset + n].reshape(arr.shape)
+        chunk = data[offset:offset + n]
+        if not np.isfinite(chunk).all():
+            raise CheckpointError(f"non-finite weights in tensor {name} of {path}")
+        arr[...] = chunk.reshape(arr.shape)
         offset += n
     return template

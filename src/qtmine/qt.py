@@ -6,9 +6,10 @@ query against a target is, per masked position, the probability mass the model
 assigns to the target set, averaged over positions. With a singleton target
 this reduces exactly to the MLM probability of that token.
 
-All functions here are pure with respect to the model parameters, so candidate
-scoring can fan out across threads and is re-sorted at the end; results do not
-depend on input or completion order.
+Every scoring feature reaches the model through `model.predict_masked`: a
+feature renders all of its queries, makes one batched call, and reads each
+query's score off its probability rows (`score_probs`). Batched results do not
+depend on the order of the queries, so rankings do not either.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import model as M
 from .errors import EvalError, TemplateError
 from .tokenizer import Vocab, encode
-from .util import get_logger, kv, pmap
+from .util import get_logger, kv
 
 logger = get_logger()
 
@@ -149,10 +150,15 @@ def masked_span_query(vocab: Vocab, text: str, start: int, end: int) -> tuple[Qu
     return query, tuple(ids[i] for i in masked)
 
 
-def mlm_predict(params: M.Params, query: QuerySpec) -> list[np.ndarray]:
+def predict_queries(params: M.Params, queries: Sequence[QuerySpec]) -> list[np.ndarray]:
+    """Per query, one probability row over the vocabulary per masked position."""
+    return M.predict_masked(params, [q.ids for q in queries],
+                            [q.mask_positions for q in queries])
+
+
+def mlm_predict(params: M.Params, query: QuerySpec) -> np.ndarray:
     """Probability vector over the vocabulary at each masked query position."""
-    out = M.forward(params, list(query.ids), collect_attention=False)
-    return [M.softmax_position(out, t) for t in query.mask_positions]
+    return predict_queries(params, [query])[0]
 
 
 def target_mass(probs: np.ndarray, target: TargetSpec) -> float:
@@ -186,9 +192,9 @@ def _aggregate(per_position: Sequence[float], agg: str) -> float:
     raise EvalError(f"unknown aggregation {agg!r} (expected 'mean' or 'geomean')")
 
 
-def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
-             agg: str = "mean", mode: str = "mass") -> QtScore:
-    """Score a query against a target set.
+def score_probs(probs: Sequence[np.ndarray], target: TargetSpec,
+                agg: str = "mean", mode: str = "mass") -> QtScore:
+    """Score a query's masked-position probability rows against a target set.
 
     mode="mass" (default): per position, the probability mass of the target
     set. mode="conditional": position k is paired with target id k and scored
@@ -197,7 +203,6 @@ def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
     """
     if not target.ids:
         raise EvalError("target set is empty")
-    probs = mlm_predict(params, query)
     if mode == "mass":
         per = [target_mass(p, target) for p in probs]
     elif mode == "conditional":
@@ -213,6 +218,12 @@ def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
     else:
         raise EvalError(f"unknown mode {mode!r} (expected 'mass' or 'conditional')")
     return QtScore(per_position=tuple(per), aggregate=_aggregate(per, agg))
+
+
+def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
+             agg: str = "mean", mode: str = "mass") -> QtScore:
+    """Score one query against a target set; see `score_probs` for the modes."""
+    return score_probs(mlm_predict(params, query), target, agg=agg, mode=mode)
 
 
 def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
@@ -232,11 +243,9 @@ def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
     if not candidates:
         return []
 
-    def score_one(name: str) -> tuple[str, QtScore]:
-        query = QuerySpec.render(vocab, template, drug=name)
-        return name, qt_score(params, query, target, agg=agg, mode=mode)
-
-    scored = pmap(score_one, list(candidates))
+    queries = [QuerySpec.render(vocab, template, drug=name) for name in candidates]
+    scored = [(name, score_probs(probs, target, agg=agg, mode=mode))
+              for name, probs in zip(candidates, predict_queries(params, queries))]
     scored.sort(key=lambda item: (-item[1].aggregate, item[0]))
     return [RankedItem(rank=i + 1, candidate=name, score=s) for i, (name, s) in enumerate(scored)]
 

@@ -150,7 +150,7 @@ def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
     vocab = _empty_vocab()
     n_base = vocab.size
     if vocab_size <= n_base:
-        raise ValueError(
+        raise DataFormatError(
             f"vocab_size must exceed {n_base} (256 bytes + {len(SPECIAL_NAMES)} specials), got {vocab_size}"
         )
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as M
-from .errors import QtmineError
+from .errors import DataFormatError, QtmineError
 from .tokenizer import Vocab, encode
 from .util import get_logger, kv
 
@@ -49,11 +49,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.mask_rate < 1.0:
-            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
+            raise DataFormatError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         if abs(self.mask_frac + self.random_frac - 1.0) > 1e-9:
-            raise ValueError("mask_frac and random_frac must sum to 1")
+            raise DataFormatError("mask_frac and random_frac must sum to 1")
         if self.lr <= 0 or self.batch_size <= 0 or self.n_epochs <= 0:
-            raise ValueError("lr, batch_size and n_epochs must be positive")
+            raise DataFormatError("lr, batch_size and n_epochs must be positive")
 
 
 @dataclass

@@ -1,4 +1,12 @@
-"""Small shared helpers: key=value logging and a bounded parallel map."""
+"""Small shared helpers: key=value logging, plus a thread map no module uses.
+
+Scoring runs as batched matrix work (`model.predict_masked`), which BLAS
+already parallelises, so no part of the program calls `pmap` or reads
+QTMINE_THREADS. Both `pmap` and `max_workers` remain only because the
+benchmark harness names them: `perfbench/run.py` imports `max_workers` for its
+environment record, and `perfbench/spans.py` rebinds `pmap` when tracing.
+Delete them together with those references in a change to the benchmark.
+"""
 
 from __future__ import annotations
 
@@ -42,7 +50,10 @@ def kv(**fields) -> str:
 
 
 def max_workers() -> int:
-    """Parallelism cap: QTMINE_THREADS if set, else the number of available cores."""
+    """Parallelism cap: QTMINE_THREADS if set, else the number of available cores.
+
+    Unused by the program; kept for `perfbench/run.py` (see the module docstring).
+    """
     env = os.environ.get("QTMINE_THREADS")
     if env:
         try:
@@ -59,7 +70,8 @@ def pmap(fn: Callable[[T], U], items: Sequence[T] | Iterable[T]) -> list[U]:
     """Map fn over items, preserving input order.
 
     Uses a thread pool capped by max_workers(); results are ordered by input
-    position, so callers stay deterministic regardless of scheduling.
+    position, so callers stay deterministic regardless of scheduling. Unused by
+    the program; kept for `perfbench/spans.py` (see the module docstring).
     """
     items = list(items)
     workers = min(max_workers(), max(1, len(items)))

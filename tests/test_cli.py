@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import synth
@@ -19,7 +20,7 @@ from qtmine.cli import _parse_years, build_parser, main
 from qtmine.config import RunConfig, apply_overrides, load_config
 from qtmine.errors import DataFormatError, QtmineError
 from qtmine.highlight import parse_html_scores
-from qtmine.model import load_checkpoint
+from qtmine.model import load_checkpoint, save_checkpoint
 from qtmine.tokenizer import load_vocab
 from qtmine.util import kv, max_workers, pmap
 
@@ -519,10 +520,30 @@ def test_checkpoint_sidecar_with_trailing_garbage_is_a_typed_error(ws, tmp_path)
     assert_one_typed_error(rc, err, "CheckpointError")
 
 
-@pytest.mark.parametrize("threads", ["zero", "0"])
-def test_bad_thread_setting_is_a_typed_error(ws, tmp_path, threads):
-    rc, err = run_cli_process(["--config", ws["config"], "train-tokenizer",
-                               "--out", str(tmp_path / "vocab.json")],
-                              QTMINE_THREADS=threads)
-    assert_one_typed_error(rc, err, "QtmineError")
-    assert "QTMINE_THREADS" in err
+def test_checkpoint_with_nan_weight_is_a_typed_error(ws, tmp_path):
+    params = load_checkpoint(ws["ckpt"])
+    params.emb[5, 0] = np.nan
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(params, ckpt)
+    rc, err = run_cli_process(["--config", ws["config"], "qt", "--vocab", ws["vocab"],
+                               "--checkpoint", str(ckpt), "--query", "x <mask>"])
+    assert_one_typed_error(rc, err, "CheckpointError")
+
+
+@pytest.mark.parametrize("case", ["vocab-size", "lr", "n-heads"])
+def test_bad_setting_is_a_typed_error(ws, tmp_path, case):
+    config = ws["config"]
+    if case == "vocab-size":
+        args = ["train-tokenizer", "--vocab-size", "100", "--out", str(tmp_path / "vocab.json")]
+    else:
+        args = ["train", "--vocab", ws["vocab"], "--out", str(tmp_path / "model.ckpt")]
+        if case == "lr":
+            args += ["--lr", "0"]
+        else:
+            settings = json.loads(Path(config).read_text(encoding="utf-8"))
+            settings["n_heads"] = 3
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(settings), encoding="utf-8")
+    rc, err = run_cli_process(["--config", str(config), *args])
+    assert_one_typed_error(rc, err, "DataFormatError")
+

@@ -11,15 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from qtmine.errors import CheckpointError, QtmineError
+from qtmine.errors import CheckpointError, DataFormatError, QtmineError
 from qtmine.model import (
     LN_EPS,
     ModelConfig,
     forward,
     init_params,
+    PREDICT_BATCH,
     load_checkpoint,
     loss_and_grads,
     eval_loss,
+    predict_masked,
     save_checkpoint,
     softmax_position,
     stable_softmax,
@@ -151,6 +153,47 @@ def test_softmax_position_is_a_distribution():
         softmax_position(out, 3)
     with pytest.raises(QtmineError):
         softmax_position(out, -1)
+
+
+def test_predict_masked_matches_per_sequence_forward():
+    # float32 weights, as scoring runs them; lengths vary within each batch.
+    params = init_params(TINY, seed=6)
+    rng = np.random.default_rng(21)
+    n = 2 * PREDICT_BATCH + 5
+    seqs, positions = [], []
+    for _ in range(n):
+        length = int(rng.integers(1, TINY.max_seq + 1))
+        seqs.append(rng.integers(0, TINY.vocab_size, length).tolist())
+        positions.append(sorted(rng.choice(length, int(rng.integers(0, length + 1)), replace=False)))
+    got = predict_masked(params, seqs, positions)
+    assert len(got) == n
+    for seq, pos, probs in zip(seqs, positions, got):
+        out = forward(params, seq, collect_attention=False)
+        expect = np.array([softmax_position(out, t) for t in pos]).reshape(len(pos), TINY.vocab_size)
+        assert probs.shape == expect.shape
+        np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-6)
+    # the result for a sequence does not depend on where it sits in the input
+    perm = rng.permutation(n)
+    shuffled = predict_masked(params, [seqs[i] for i in perm], [positions[i] for i in perm])
+    for j, i in enumerate(perm):
+        np.testing.assert_array_equal(shuffled[j], got[i])
+    assert predict_masked(params, [], []) == []
+
+
+def test_predict_masked_rejects_bad_input():
+    params = tiny_params()
+    for seqs, positions in [
+        ([[1, 2], []], [[0], []]),                   # empty sequence
+        ([[1, 2], [TINY.vocab_size]], [[0], [0]]),   # id out of range
+        ([[1, 2], [-1, 3]], [[0], [0]]),
+        ([[1, 2, 3], [4, 5]], [[0], [2]]),           # position at the length
+        ([[1, 2, 3], [4, 5]], [[0], [7]]),           # position beyond it
+        ([[1, 2, 3], [4, 5]], [[0], [-1]]),
+        ([[0] * (TINY.max_seq + 1)], [[0]]),
+        ([[1, 2]], [[0], [1]]),                      # lists of unequal length
+    ]:
+        with pytest.raises(QtmineError):
+            predict_masked(params, seqs, positions)
 
 
 def test_stable_softmax_handles_large_logits():
@@ -297,11 +340,11 @@ def test_copy_is_independent():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         ModelConfig(n_layers=0, n_heads=2, d_model=8, d_ff=16, max_seq=8, vocab_size=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         ModelConfig(n_layers=1, n_heads=3, d_model=8, d_ff=16, max_seq=8, vocab_size=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq=1, vocab_size=10)
     assert TINY.d_head == 4
 
@@ -317,6 +360,27 @@ def test_checkpoint_round_trip(tmp_path):
     out_a = forward(p, [1, 2, 3]).logits
     out_b = forward(q, [1, 2, 3]).logits
     np.testing.assert_array_equal(out_a, out_b)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, value):
+    p = init_params(TINY, seed=13)
+    p.emb[5, 0] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(p, path)
+    with pytest.raises(CheckpointError, match="emb"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_invalid_config_is_a_checkpoint_error(tmp_path):
+    import json
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=13), path)
+    sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+    sidecar["model"]["n_heads"] = 3
+    (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -222,6 +222,25 @@ def test_rank_by_qt_orders_and_is_input_order_independent(tiny_setup):
         rank_by_qt(params, vocab, names, template="no slot <mask>")
 
 
+def test_rank_by_qt_matches_per_candidate_scores(tiny_setup):
+    # Names of different token lengths put padding into the batched call.
+    vocab, params = tiny_setup
+    names = ["x", "alfa", "bravo charlie", "the compound", "tamivir zanavir delta",
+             "no benefit was found in the cohort of patients"]
+    lengths = {len(QuerySpec.render(vocab, DEFAULT_RANK_TEMPLATE, drug=n).ids) for n in names}
+    assert len(lengths) >= 4
+    target = TargetSpec.from_phrase(vocab, "efficacy")
+    ranked = rank_by_qt(params, vocab, names, target=target)
+    single = {n: qt_score(params, QuerySpec.render(vocab, DEFAULT_RANK_TEMPLATE, drug=n), target)
+              for n in names}
+    expect = sorted(names, key=lambda n: (-single[n].aggregate, n))
+    assert [r.candidate for r in ranked] == expect
+    for r in ranked:
+        np.testing.assert_allclose(r.score.per_position, single[r.candidate].per_position,
+                                   rtol=0, atol=1e-6)
+        assert abs(r.score.aggregate - single[r.candidate].aggregate) <= 1e-6
+
+
 def test_rank_by_qt_breaks_ties_lexicographically():
     # A merge-free vocabulary plus identical embedding rows for "x" and "y"
     # makes the two candidates score identically, forcing the name tie-break.

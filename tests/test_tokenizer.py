@@ -246,7 +246,7 @@ def test_train_rejects_empty_corpus():
 
 
 def test_train_rejects_tiny_vocab_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         train_bpe(SMALL_CORPUS, N_BYTES + len(SPECIAL_NAMES))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import synth
-from qtmine.errors import QtmineError
+from qtmine.errors import DataFormatError, QtmineError
 from qtmine.model import ModelConfig, init_params, save_checkpoint
 from qtmine.tokenizer import encode, save_vocab, train_bpe
 from qtmine.train import (
@@ -324,15 +324,15 @@ def test_perplexity_bounds_and_determinism(small_vocab):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         TrainConfig(mask_rate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         TrainConfig(mask_rate=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         TrainConfig(mask_frac=0.8, random_frac=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         TrainConfig(n_epochs=0)
