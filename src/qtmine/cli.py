@@ -28,7 +28,7 @@ from .corpus import (DocumentSet, load_aliases, load_analogies, load_approvals,
                      load_corpus, load_trials)
 from .errors import DataFormatError, QtmineError
 from .tokenizer import load_vocab, save_vocab, train_bpe
-from .util import get_logger, kv, setup_logging
+from .util import get_logger, kv, read_text, setup_logging
 
 logger = get_logger()
 
@@ -60,10 +60,13 @@ def _load_trials(cfg: RunConfig):
 
 
 def _parse_years(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return sorted({int(y) for y in spec.split(",")})
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return sorted({int(y) for y in spec.split(",")})
+    except ValueError:
+        raise DataFormatError(f"--years must be like 2005:2016 or 2005,2010, got {spec!r}") from None
 
 
 def _print_score(label: str, score: Q.QtScore) -> None:
@@ -242,7 +245,7 @@ def cmd_side_effects(args, cfg: RunConfig) -> int:
 def cmd_highlight(args, cfg: RunConfig) -> int:
     vocab, params = _load_model(args)
     if args.passage_file:
-        passage = Path(args.passage_file).read_text(encoding="utf-8")
+        passage = read_text(args.passage_file, "passage file")
     else:
         passage = _require(args.passage, "--passage")
     doc = H.highlight_passage(params, vocab, passage, args.target_term,

@@ -1,14 +1,16 @@
 """Run configuration: one JSON file, overridable field by field from the CLI.
 
 Only the keys present in the file are applied, so a config stays minimal and
-self-documenting; unknown keys are rejected rather than silently ignored. The
-single seed here feeds every stochastic component of a run.
+self-documenting; unknown keys, and values of the wrong type for their
+`RunConfig` field, are rejected rather than silently ignored. The single seed
+here feeds every stochastic component of a run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -16,6 +18,7 @@ from .model import ModelConfig
 from .qt import DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE
 from .highlight import DEFAULT_HIGHLIGHT_TEMPLATE
 from .train import TrainConfig
+from .util import read_text
 
 
 @dataclass
@@ -60,34 +63,47 @@ class RunConfig:
         return asdict(self)
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+# JSON value types each field type accepts: an int is a valid float, a bool is
+# not a valid number.
+_ACCEPTS = {str: (str,), int: (int,), float: (int, float)}
+
+
+def _checked(path, key: str, value):
+    """`value` for RunConfig field `key`, or a DataFormatError if its type is wrong."""
+    hint = _FIELD_TYPES[key]
+    types = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in types:
+        return None
+    base = next(t for t in types if t is not type(None))
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[base]):
+        raise DataFormatError(f"config {path}: {key} must be {base.__name__}, got {value!r}")
+    return base(value)
+
+
 def load_config(path: str | Path | None) -> RunConfig:
     """Read a JSON config; a missing path means all defaults."""
     cfg = RunConfig()
     if path is None:
         return cfg
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataFormatError(f"config {path} must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - _FIELD_TYPES.keys())
     if unknown:
         raise DataFormatError(f"config {path} has unknown keys: {', '.join(unknown)}")
     for key, value in data.items():
-        setattr(cfg, key, value)
+        setattr(cfg, key, _checked(path, key, value))
     return cfg
 
 
 def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     """Set any non-None keyword onto the config; unknown names are an error."""
-    known = {f.name for f in fields(RunConfig)}
     for key, value in overrides.items():
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise DataFormatError(f"unknown config field: {key}")
         if value is not None:
             setattr(cfg, key, value)

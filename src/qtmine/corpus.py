@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataFormatError
-from .util import get_logger, kv
+from .util import get_logger, kv, read_text
 
 log = get_logger(__name__)
 
@@ -134,31 +135,35 @@ def _parse_document(obj: dict) -> Document:
 
 
 def load_corpus(path: str | Path) -> DocumentSet:
-    """Load a JSON-lines corpus in file order, skipping malformed lines with a count."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"corpus file not found: {path}")
+    """Load a JSON-lines corpus in file order, skipping malformed lines with a count.
+
+    A line that is not valid UTF-8 is malformed like any other bad line.
+    """
+    text = read_text(path, "corpus", errors="surrogateescape")
     documents: list[Document] = []
     seen_ids: set[str] = set()
     malformed = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("line is not a JSON object")
-                doc = _parse_document(obj)
-                if doc.id in seen_ids:
-                    raise ValueError(f"duplicate document id {doc.id!r}")
-            except ValueError as exc:
-                malformed += 1
-                log.warning(kv(event="malformed_document", line=lineno, reason=str(exc)))
-                continue
-            seen_ids.add(doc.id)
-            documents.append(doc)
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate stands for an undecodable byte
+                raise ValueError("line is not valid UTF-8") from None
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            doc = _parse_document(obj)
+            if doc.id in seen_ids:
+                raise ValueError(f"duplicate document id {doc.id!r}")
+        except ValueError as exc:
+            malformed += 1
+            log.warning(kv(event="malformed_document", line=lineno, reason=str(exc)))
+            continue
+        seen_ids.add(doc.id)
+        documents.append(doc)
     log.info(kv(event="corpus_loaded", path=path, documents=len(documents), malformed=malformed))
     return DocumentSet(documents, malformed_count=malformed)
 
@@ -233,29 +238,26 @@ def load_approvals(path: str | Path, aliases: AliasMap | None = None) -> list[Ap
 
 def load_analogies(path: str | Path) -> list[AnalogyItem]:
     """Load the analogy TSV; item ids are `category#ordinal` within each category."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"analogies file not found: {path}")
+    text = read_text(path, "analogies file")
     items: list[AnalogyItem] = []
     per_category: dict[str, int] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 6:
-                raise DataFormatError(f"{path}:{lineno}: expected 6 tab-separated columns, got {len(cols)}")
-            category, subcategory, a, b, c, d = (col.strip() for col in cols)
-            if subcategory not in SUBCATEGORIES:
-                raise DataFormatError(
-                    f"{path}:{lineno}: subcategory must be one of {SUBCATEGORIES}, got {subcategory!r}"
-                )
-            if not all((a, b, c, d)):
-                raise DataFormatError(f"{path}:{lineno}: analogy terms must be nonempty")
-            ordinal = per_category.get(category, 0)
-            per_category[category] = ordinal + 1
-            items.append(AnalogyItem(f"{category}#{ordinal}", category, subcategory, a, b, c, d))
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 6:
+            raise DataFormatError(f"{path}:{lineno}: expected 6 tab-separated columns, got {len(cols)}")
+        category, subcategory, a, b, c, d = (col.strip() for col in cols)
+        if subcategory not in SUBCATEGORIES:
+            raise DataFormatError(
+                f"{path}:{lineno}: subcategory must be one of {SUBCATEGORIES}, got {subcategory!r}"
+            )
+        if not all((a, b, c, d)):
+            raise DataFormatError(f"{path}:{lineno}: analogy terms must be nonempty")
+        ordinal = per_category.get(category, 0)
+        per_category[category] = ordinal + 1
+        items.append(AnalogyItem(f"{category}#{ordinal}", category, subcategory, a, b, c, d))
     for category, count in per_category.items():
         log.info(kv(event="analogy_category", category=category, items=count))
     return items
@@ -269,13 +271,9 @@ def group_by_category(items: list[AnalogyItem]) -> dict[tuple[str, str], list[An
 
 
 def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[dict[str, str]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"file not found: {path}")
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in required:
-            if column not in header:
-                raise DataFormatError(f"{path}: missing required column {column!r}")
-        return [{k: (v or "") for k, v in row.items()} for row in reader]
+    reader = csv.DictReader(io.StringIO(read_text(path, "CSV file"), newline=""))
+    header = reader.fieldnames or []
+    for column in required:
+        if column not in header:
+            raise DataFormatError(f"{path}: missing required column {column!r}")
+    return [{k: (v or "") for k, v in row.items()} for row in reader]

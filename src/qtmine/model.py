@@ -12,13 +12,18 @@ Scoring reads the vocabulary distribution only where a query asks for it:
 `predict_masked` pads many sequences into key-padding-masked batches and
 projects onto the vocabulary at the requested positions alone. `forward`
 serves the attention views and is the tests' per-sequence reference.
+
+`tensor_shapes(config)` is the one list of tensor names and shapes. It is the
+checkpoint layout, and `Params.named_tensors`, `init_params`, `astype` and
+`load_checkpoint` all follow it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +42,6 @@ PREDICT_BATCH = 64
 CHECKPOINT_MAGIC = b"QTMNCKPT"
 CHECKPOINT_VERSION = 1
 
-LAYER_FIELDS = (
-    "ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-    "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
-)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -53,6 +53,9 @@ class ModelConfig:
     vocab_size: int
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DataFormatError(f"model dimension {name} must be an integer, got {value!r}")
         if min(self.n_layers, self.n_heads, self.d_model, self.d_ff, self.vocab_size) <= 0:
             raise DataFormatError("all model dimensions must be positive")
         if self.max_seq < 2:
@@ -63,6 +66,22 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
+
+
+def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every tensor's name and shape, in checkpoint order."""
+    d, dff, v = config.d_model, config.d_ff, config.vocab_size
+    layer = (
+        ("ln1_g", (d,)), ("ln1_b", (d,)), ("wq", (d, d)), ("bq", (d,)),
+        ("wk", (d, d)), ("bk", (d,)), ("wv", (d, d)), ("bv", (d,)),
+        ("wo", (d, d)), ("bo", (d,)), ("ln2_g", (d,)), ("ln2_b", (d,)),
+        ("w1", (d, dff)), ("b1", (dff,)), ("w2", (dff, d)), ("b2", (d,)),
+    )
+    return [
+        ("emb", (v, d)), ("pos", (config.max_seq, d)),
+        *((f"layers.{i}.{name}", shape) for i in range(config.n_layers) for name, shape in layer),
+        ("final_ln_g", (d,)), ("final_ln_b", (d,)), ("out_bias", (v,)),
+    ]
 
 
 @dataclass
@@ -77,33 +96,30 @@ class Params:
     final_ln_b: np.ndarray
     out_bias: np.ndarray                 # (vocab_size,)
 
+    @classmethod
+    def from_named(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "Params":
+        """Params holding `tensors`, keyed by the names of `tensor_shapes(config)`."""
+        top: dict[str, np.ndarray] = {}
+        layers: list[dict[str, np.ndarray]] = [{} for _ in range(config.n_layers)]
+        for name, _ in tensor_shapes(config):
+            *layer, key = name.split(".")
+            (layers[int(layer[1])] if layer else top)[key] = tensors[name]
+        return cls(config=config, layers=layers, **top)
+
     @property
     def dtype(self) -> np.dtype:
         return self.emb.dtype
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """All tensors in the documented checkpoint order."""
-        out = [("emb", self.emb), ("pos", self.pos)]
-        for i, layer in enumerate(self.layers):
-            for name in LAYER_FIELDS:
-                out.append((f"layers.{i}.{name}", layer[name]))
-        out.extend([
-            ("final_ln_g", self.final_ln_g),
-            ("final_ln_b", self.final_ln_b),
-            ("out_bias", self.out_bias),
-        ])
+        """All tensors in checkpoint order (`tensor_shapes`)."""
+        out = []
+        for name, _ in tensor_shapes(self.config):
+            *layer, key = name.split(".")
+            out.append((name, self.layers[int(layer[1])][key] if layer else getattr(self, key)))
         return out
 
     def astype(self, dtype) -> "Params":
-        return Params(
-            config=self.config,
-            emb=self.emb.astype(dtype),
-            pos=self.pos.astype(dtype),
-            layers=[{k: v.astype(dtype) for k, v in layer.items()} for layer in self.layers],
-            final_ln_g=self.final_ln_g.astype(dtype),
-            final_ln_b=self.final_ln_b.astype(dtype),
-            out_bias=self.out_bias.astype(dtype),
-        )
+        return Params.from_named(self.config, {n: a.astype(dtype) for n, a in self.named_tensors()})
 
     def copy(self) -> "Params":
         return self.astype(self.dtype)
@@ -124,37 +140,20 @@ def _truncated_normal(rng: np.random.Generator, shape, stddev: float, dtype) -> 
 
 
 def init_params(config: ModelConfig, seed: int, stddev: float = 0.02, dtype=np.float32) -> Params:
-    """Weights from a truncated normal, biases zero, layer-norm gain one."""
+    """Matrices from a truncated normal, biases zero, layer-norm gains one.
+
+    The matrices are drawn layer by layer (wq, wk, wv, wo, w1, w2), then emb,
+    then pos; that order fixes the random stream, so it fixes every checkpoint.
+    """
     rng = np.random.default_rng(seed)
-    d, dff = config.d_model, config.d_ff
-
-    def w(*shape):
-        return _truncated_normal(rng, shape, stddev, dtype)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dtype)
-
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append({
-            "ln1_g": np.ones(d, dtype=dtype), "ln1_b": zeros(d),
-            "wq": w(d, d), "bq": zeros(d),
-            "wk": w(d, d), "bk": zeros(d),
-            "wv": w(d, d), "bv": zeros(d),
-            "wo": w(d, d), "bo": zeros(d),
-            "ln2_g": np.ones(d, dtype=dtype), "ln2_b": zeros(d),
-            "w1": w(d, dff), "b1": zeros(dff),
-            "w2": w(dff, d), "b2": zeros(d),
-        })
-    return Params(
-        config=config,
-        emb=w(config.vocab_size, d),
-        pos=w(config.max_seq, d),
-        layers=layers,
-        final_ln_g=np.ones(d, dtype=dtype),
-        final_ln_b=zeros(d),
-        out_bias=zeros(config.vocab_size),
-    )
+    shapes = dict(tensor_shapes(config))
+    matrices = sorted((name for name, shape in shapes.items() if len(shape) == 2),
+                      key=lambda name: not name.startswith("layers."))
+    tensors = {name: _truncated_normal(rng, shapes[name], stddev, dtype) for name in matrices}
+    for name, shape in shapes.items():
+        if name not in tensors:
+            tensors[name] = (np.ones if name.endswith("_g") else np.zeros)(shape, dtype=dtype)
+    return Params.from_named(config, tensors)
 
 
 def zero_grads(params: Params) -> dict[str, np.ndarray]:
@@ -465,14 +464,7 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
     path.write_bytes(header + flat.tobytes())
     sidecar = {
         "format_version": CHECKPOINT_VERSION,
-        "model": {
-            "n_layers": params.config.n_layers,
-            "n_heads": params.config.n_heads,
-            "d_model": params.config.d_model,
-            "d_ff": params.config.d_ff,
-            "max_seq": params.config.max_seq,
-            "vocab_size": params.config.vocab_size,
-        },
+        "model": asdict(params.config),
         "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in tensors],
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
@@ -482,42 +474,39 @@ def load_checkpoint(path: str | Path) -> Params:
     """Read a checkpoint; any truncation, shape mismatch or non-finite weight is fatal."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
-    if not path.exists() or not sidecar_path.exists():
-        raise CheckpointError(f"checkpoint or sidecar missing: {path}")
     try:
         sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
         config = ModelConfig(**sidecar["model"])
         declared = [(t["name"], tuple(t["shape"])) for t in sidecar["tensors"]]
-    except (KeyError, TypeError, ValueError, DataFormatError) as exc:
-        raise CheckpointError(f"malformed sidecar {sidecar_path}: {exc}") from exc
+        raw = path.read_bytes()
+    except (OSError, KeyError, TypeError, ValueError, DataFormatError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    template = init_params(config, seed=0, stddev=0.0)
-    expected = [(name, arr.shape) for name, arr in template.named_tensors()]
+    expected = tensor_shapes(config)
     if declared != expected:
         raise CheckpointError(
             f"sidecar tensors inconsistent with config: expected {expected[:3]}..., found {declared[:3]}..."
         )
 
-    raw = path.read_bytes()
     header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
     if len(raw) < header_len or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic in {path}")
     version, n_floats = struct.unpack("<IQ", raw[len(CHECKPOINT_MAGIC):header_len])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    expected_floats = sum(int(np.prod(shape)) for _, shape in expected)
+    expected_floats = sum(math.prod(shape) for _, shape in expected)
     if n_floats != expected_floats:
         raise CheckpointError(f"checkpoint declares {n_floats} floats, config implies {expected_floats}")
+    if len(raw) - header_len != 4 * n_floats:
+        raise CheckpointError(f"checkpoint holds {len(raw) - header_len} data bytes, header declares {n_floats} floats")
     data = np.frombuffer(raw, dtype="<f4", offset=header_len)
-    if data.size != n_floats:
-        raise CheckpointError(f"checkpoint truncated: {data.size} floats on disk, header declares {n_floats}")
 
+    tensors = {}
     offset = 0
-    for name, arr in template.named_tensors():
-        n = arr.size
-        chunk = data[offset:offset + n]
+    for name, shape in expected:
+        chunk = data[offset:offset + math.prod(shape)]
         if not np.isfinite(chunk).all():
             raise CheckpointError(f"non-finite weights in tensor {name} of {path}")
-        arr[...] = chunk.reshape(arr.shape)
-        offset += n
-    return template
+        tensors[name] = chunk.astype(np.float32).reshape(shape)
+        offset += chunk.size
+    return Params.from_named(config, tensors)

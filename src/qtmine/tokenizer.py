@@ -16,14 +16,14 @@ from __future__ import annotations
 import base64
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
-from .util import get_logger, kv
+from .util import get_logger, kv, read_text
 
 log = get_logger(__name__)
 
@@ -47,7 +47,6 @@ class Vocab:
     tokens: list[bytes]
     merges: list[tuple[int, int]]
     special: dict[str, int]
-    _rank: dict[tuple[int, int], int] = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -73,7 +72,7 @@ class Vocab:
     def unk_id(self) -> int:
         return self.special["unk"]
 
-    @property
+    @cached_property
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.special.values())
 
@@ -89,10 +88,10 @@ class Vocab:
         """Every non-special token id, ascending."""
         return np.flatnonzero(~self.is_special)
 
+    @cached_property
     def merge_rank(self) -> dict[tuple[int, int], int]:
-        if self._rank is None:
-            self._rank = {pair: i for i, pair in enumerate(self.merges)}
-        return self._rank
+        """Merge pair -> its rank (the order it was learned in)."""
+        return {pair: i for i, pair in enumerate(self.merges)}
 
     def token_text(self, token_id: int) -> str:
         """Human-readable form of one token (special markers render literally)."""
@@ -267,7 +266,7 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
     n = len(ids)
     if n < 2:
         return ids
-    rank = vocab.merge_rank()
+    rank = vocab.merge_rank
     first_merged = N_BYTES + len(SPECIAL_NAMES)
     nxt = list(range(1, n + 1))
     nxt[-1] = -1
@@ -342,11 +341,8 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocab:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"vocab file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path, "vocab file"))
         vocab = Vocab(
             tokens=[_token_from_json(t) for t in doc["tokens"]],
             merges=[(int(a), int(b)) for a, b in doc["merges"]],

@@ -54,6 +54,8 @@ class TrainConfig:
             raise DataFormatError("mask_frac and random_frac must sum to 1")
         if self.lr <= 0 or self.batch_size <= 0 or self.n_epochs <= 0:
             raise DataFormatError("lr, batch_size and n_epochs must be positive")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise DataFormatError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass
@@ -230,7 +232,7 @@ def train(
 
     per_epoch = (len(windows) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = per_epoch * cfg.n_epochs
-    run_steps = min(total_steps, cfg.max_steps) if cfg.max_steps else total_steps
+    run_steps = total_steps if cfg.max_steps is None else min(total_steps, cfg.max_steps)
 
     eval_batches: list[MaskedBatch] = []
     if eval_texts:

@@ -1,4 +1,9 @@
-"""Small shared helpers: key=value logging, plus a thread map no module uses.
+"""Small shared helpers: key=value logging, the data-file reader, and a thread
+map no module uses.
+
+Every loader reads its file through `read_text`, so a missing, unreadable or
+non-UTF-8 file ends in a `DataFormatError` rather than an `OSError` or
+`UnicodeDecodeError`.
 
 Scoring runs as batched matrix work (`model.predict_masked`), which BLAS
 already parallelises, so no part of the program calls `pmap` or reads
@@ -14,9 +19,10 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import QtmineError
+from .errors import DataFormatError, QtmineError
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -47,6 +53,21 @@ def kv(**fields) -> str:
         else:
             parts.append(f"{key}={value}")
     return " ".join(parts)
+
+
+def read_text(path: str | Path, what: str, errors: str = "strict") -> str:
+    """The UTF-8 text of a data file; failing to read or decode it is a DataFormatError.
+
+    `what` names the file in the message. With errors="surrogateescape" each
+    undecodable byte becomes a lone surrogate, for a caller that judges the
+    text line by line.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8", errors=errors)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{what} {path} is not valid UTF-8 at byte {exc.start}") from None
 
 
 def max_workers() -> int:

@@ -40,6 +40,12 @@ def test_parse_years_comma_list_sorts_and_dedups():
     assert _parse_years("1999") == [1999]
 
 
+@pytest.mark.parametrize("spec", ["abc", "2005:x", "2005,,2010", ""])
+def test_parse_years_rejects_non_years(spec):
+    with pytest.raises(DataFormatError, match="--years"):
+        _parse_years(spec)
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -89,6 +95,34 @@ def test_load_config_unknown_key_raises(tmp_path):
     path.write_text(json.dumps({"d_modle": 4}), encoding="utf-8")
     with pytest.raises(DataFormatError, match="d_modle"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_layers", "2"), ("n_layers", 2.0), ("n_layers", True), ("n_layers", None),
+    ("seed", "abc"), ("max_steps", 1.5), ("lr", "0.1"), ("lr", False), ("lr", None),
+    ("corpus", 3), ("template", None), ("checkpoint_dir", ["a"]),
+])
+def test_load_config_rejects_values_of_the_wrong_type(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=key):
+        load_config(path)
+
+
+def test_load_config_accepts_each_field_type(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lr": 1, "warmup_frac": 0, "max_steps": None,
+                                "corpus": None, "seed": 7, "max_seq": 64}), encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.lr == 1.0 and isinstance(cfg.lr, float)
+    assert cfg.warmup_frac == 0.0 and isinstance(cfg.warmup_frac, float)
+    assert cfg.max_steps is None and cfg.corpus is None
+    assert (cfg.seed, cfg.max_seq) == (7, 64)
+
+
+def test_load_config_rejects_a_directory(tmp_path):
+    with pytest.raises(DataFormatError, match="cannot read"):
+        load_config(tmp_path)
 
 
 def test_apply_overrides_skips_none_and_sets_values():
@@ -547,3 +581,75 @@ def test_bad_setting_is_a_typed_error(ws, tmp_path, case):
     rc, err = run_cli_process(["--config", str(config), *args])
     assert_one_typed_error(rc, err, "DataFormatError")
 
+
+
+def _config_with(ws, tmp_path, **changes) -> str:
+    settings = json.loads(Path(ws["config"]).read_text(encoding="utf-8"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**settings, **changes}), encoding="utf-8")
+    return str(path)
+
+
+def _bad_input_args(ws, tmp_path, case) -> list[str]:
+    """CLI arguments that feed one bad input; see test_bad_input_is_a_typed_error."""
+    config = ws["config"]
+    train = ["train", "--vocab", ws["vocab"], "--out", str(tmp_path / "model.ckpt")]
+    if case == "corpus-is-a-directory":
+        return ["--config", config, "--corpus", str(tmp_path), "train-tokenizer",
+                "--out", str(tmp_path / "vocab.json")]
+    if case == "config-is-a-directory":
+        return ["--config", str(tmp_path), "train-tokenizer"]
+    if case == "trials-not-utf8":
+        trials = tmp_path / "trials.csv"
+        trials.write_bytes(b"trial_id,year,drugs,condition\nT1,2001,tami\xffvir,flu\n")
+        return ["--config", config, "--trials", str(trials), "rank", *model_args(ws),
+                "--year", "2002"]
+    if case == "passage-file-missing":
+        return ["--config", config, "highlight", *model_args(ws), "--target-term", "x",
+                "--passage-file", str(tmp_path / "absent.txt")]
+    if case == "n-layers-string":
+        return ["--config", _config_with(ws, tmp_path, n_layers="2"), *train]
+    if case == "seed-string":
+        return ["--config", _config_with(ws, tmp_path, seed="abc"), *train]
+    if case == "sidecar-float-dimension":
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(ws["ckpt"], ckpt)
+        sidecar = json.loads(Path(ws["ckpt"] + ".json").read_text(encoding="utf-8"))
+        sidecar["model"]["n_layers"] = 1.0
+        Path(str(ckpt) + ".json").write_text(json.dumps(sidecar), encoding="utf-8")
+        return ["--config", config, "qt", "--vocab", ws["vocab"], "--checkpoint", str(ckpt),
+                "--query", "x <mask>"]
+    if case == "years-not-a-number":
+        return ["--config", config, "fc", "--years", "abc", "--outdir", str(tmp_path)]
+    if case == "max-steps-zero":
+        return ["--config", config, *train, "--max-steps", "0"]
+    if case == "max-steps-negative":
+        return ["--config", config, *train, "--max-steps", "-1"]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case,error_type", [
+    ("corpus-is-a-directory", "DataFormatError"),
+    ("config-is-a-directory", "DataFormatError"),
+    ("trials-not-utf8", "DataFormatError"),
+    ("passage-file-missing", "DataFormatError"),
+    ("n-layers-string", "DataFormatError"),
+    ("seed-string", "DataFormatError"),
+    ("sidecar-float-dimension", "CheckpointError"),
+    ("years-not-a-number", "DataFormatError"),
+    ("max-steps-zero", "DataFormatError"),
+    ("max-steps-negative", "DataFormatError"),
+])
+def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
+    rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))
+    assert_one_typed_error(rc, err, error_type)
+
+
+def test_corpus_line_that_is_not_utf8_is_skipped_and_counted(ws, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(Path(ws["corpus"]).read_bytes() + b'{"id": "bad\xff", "title": "t"}\n')
+    rc, err = run_cli_process(["--config", ws["config"], "--corpus", str(corpus),
+                               "train-tokenizer", "--out", str(tmp_path / "vocab.json")])
+    assert rc == 0 and "Traceback" not in err, err
+    assert re.search(r"event=malformed_document line=\d+ reason=line is not valid UTF-8", err), err
+    assert re.search(r"event=corpus_loaded .* malformed=1\b", err), err

@@ -76,6 +76,32 @@ def test_load_corpus_missing_file(tmp_path):
         load_corpus(tmp_path / "absent.jsonl")
 
 
+def test_load_corpus_skips_lines_that_are_not_utf8(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = [json.dumps(doc_obj(i, 2000 + i)).encode() for i in range(3)]
+    bad = json.dumps(doc_obj(9, 2009)).encode().replace(b"title", b"tit\xffle")
+    path.write_bytes(b"\n".join([good[0], bad, good[1], b"\xc3", good[2]]) + b"\n")
+    docs = load_corpus(path)
+    assert [d.id for d in docs.documents] == ["doc0", "doc1", "doc2"]
+    assert docs.malformed_count == 2
+
+
+@pytest.mark.parametrize("loader", [load_corpus, load_trials, load_aliases,
+                                    load_approvals, load_analogies])
+def test_loaders_reject_a_directory(tmp_path, loader):
+    with pytest.raises(DataFormatError, match="cannot read"):
+        loader(tmp_path)
+
+
+@pytest.mark.parametrize("loader", [load_trials, load_aliases, load_approvals,
+                                    load_analogies])
+def test_table_loaders_reject_non_utf8(tmp_path, loader):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"trial_id,year,drugs,condition\nT1,2001,tami\xffvir,flu\n")
+    with pytest.raises(DataFormatError, match="not valid UTF-8"):
+        loader(path)
+
+
 def test_document_text_joins_nonempty_parts():
     d = Document(id="a", title="T", abstract="", body="B")
     assert d.text() == "T\nB"

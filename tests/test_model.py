@@ -25,6 +25,7 @@ from qtmine.model import (
     save_checkpoint,
     softmax_position,
     stable_softmax,
+    tensor_shapes,
 )
 
 TINY = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, max_seq=12, vocab_size=40)
@@ -349,6 +350,35 @@ def test_config_validation():
     assert TINY.d_head == 4
 
 
+def test_model_config_rejects_non_integer_dimensions():
+    dims = dict(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq=8, vocab_size=10)
+    for name in dims:
+        for bad in (1.0, "2", True, None):
+            with pytest.raises(DataFormatError, match=name):
+                ModelConfig(**{**dims, name: bad})
+
+
+def test_tensor_shapes_is_the_layout_of_every_params(tmp_path):
+    layout = tensor_shapes(TINY)
+    assert len(layout) == 5 + 16 * TINY.n_layers
+    assert len({name for name, _ in layout}) == len(layout)
+    init = init_params(TINY, seed=13)
+    save_checkpoint(init, tmp_path / "model.ckpt")
+    for params in (init, init.astype(np.float64), init.copy(),
+                   load_checkpoint(tmp_path / "model.ckpt")):
+        assert [(name, arr.shape) for name, arr in params.named_tensors()] == layout
+
+
+def test_loaded_arrays_are_writable_native_float32(tmp_path):
+    save_checkpoint(init_params(TINY, seed=13).astype(np.float64), tmp_path / "model.ckpt")
+    for name, arr in load_checkpoint(tmp_path / "model.ckpt").named_tensors():
+        assert arr.dtype == np.float32 and arr.dtype.isnative, name
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
+    params = load_checkpoint(tmp_path / "model.ckpt")
+    params.layers[0]["wq"][0, 0] = 5.0
+    assert dict(params.named_tensors())["layers.0.wq"][0, 0] == 5.0
+
+
 def test_checkpoint_round_trip(tmp_path):
     p = init_params(TINY, seed=13)
     path = tmp_path / "model.ckpt"
@@ -381,6 +411,34 @@ def test_checkpoint_with_invalid_config_is_a_checkpoint_error(tmp_path):
     (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_float_dimension_is_a_checkpoint_error(tmp_path):
+    import json
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=13), path)
+    sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+    sidecar["model"]["n_layers"] = float(sidecar["model"]["n_layers"])
+    (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+    with pytest.raises(CheckpointError, match="n_layers"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, 3, 4])
+def test_checkpoint_cut_mid_float_is_a_checkpoint_error(tmp_path, cut):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=13), path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CheckpointError, match="data bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_path_that_is_a_directory_is_a_checkpoint_error(tmp_path):
+    save_checkpoint(init_params(TINY, seed=13), tmp_path / "model.ckpt")
+    (tmp_path / "dir.ckpt").mkdir()
+    (tmp_path / "dir.ckpt.json").write_text((tmp_path / "model.ckpt.json").read_text())
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "dir.ckpt")
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -191,6 +191,14 @@ def test_special_ids_and_layout():
     vocab.validate()
 
 
+def test_vocab_tables_are_computed_once():
+    vocab = train_bpe(SMALL_CORPUS, 300)
+    assert vocab.special_ids is vocab.special_ids
+    assert vocab.merge_rank is vocab.merge_rank
+    assert vocab.merge_rank == {pair: i for i, pair in enumerate(vocab.merges)}
+    assert vocab == train_bpe(SMALL_CORPUS, 300)
+
+
 def test_special_tables_match_special_ids():
     vocab = train_bpe(SMALL_CORPUS, 300)
     assert vocab.is_special.shape == (vocab.size,)
@@ -222,6 +230,15 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.special == vocab.special
     text = "the cat sat 日日日"
     assert encode(loaded, text) == encode(vocab, text)
+
+
+def test_load_vocab_unreadable_file_is_a_data_format_error(tmp_path):
+    with pytest.raises(DataFormatError, match="cannot read"):
+        load_vocab(tmp_path)
+    path = tmp_path / "vocab.json"
+    path.write_bytes(b'{"tokens": ["\xff"]}')
+    with pytest.raises(DataFormatError, match="not valid UTF-8"):
+        load_vocab(path)
 
 
 def test_decode_renders_special_markers():

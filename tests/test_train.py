@@ -336,3 +336,11 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(DataFormatError):
         TrainConfig(n_epochs=0)
+
+
+def test_train_config_max_steps_is_none_or_positive():
+    for bad in (0, -1):
+        with pytest.raises(DataFormatError, match="max_steps"):
+            TrainConfig(max_steps=bad)
+    assert TrainConfig(max_steps=1).max_steps == 1
+    assert TrainConfig().max_steps is None
