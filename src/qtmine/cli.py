@@ -130,12 +130,13 @@ def cmd_analogies(args, cfg: RunConfig) -> int:
 
 
 def cmd_kshot(args, cfg: RunConfig) -> int:
+    train_cfg = T.TrainConfig(lr=args.lr)
     vocab, params = _load_model(args)
     items = load_analogies(_require(cfg.analogies, "analogies"))
     sentences, excluded = A.sample_kshot(items, args.k, cfg.seed)
     tuned = T.kshot_finetune(params, vocab, sentences,
                              seed=np.random.SeedSequence([cfg.seed, 1]),
-                             n_steps=args.steps, lr=args.lr)
+                             cfg=train_cfg, n_steps=args.steps)
     comparison = A.compare_kshot(params, tuned, vocab, items, excluded)
     for sub in sorted(comparison.subcategory_delta_top1):
         print(f"subcategory={sub} "
@@ -379,6 +380,8 @@ def main(argv=None) -> int:
         for name in ("vocab_size", "lr", "batch_size", "n_epochs", "max_steps"):
             if hasattr(args, name):
                 apply_overrides(cfg, **{name: getattr(args, name)})
+        if cfg.seed < 0:
+            raise DataFormatError(f"seed must be non-negative, got {cfg.seed}")
         logger.info(kv(event="start", command=args.command,
                        time=datetime.now(timezone.utc).isoformat(), seed=cfg.seed))
         return args.func(args, cfg)

@@ -74,12 +74,7 @@ def _run_metrics(run: FcRun) -> YearMetrics:
 
 def score_runs(runs: Sequence[FcRun], retrained: bool) -> FcMetrics:
     """Aggregate run metrics; zero-candidate runs are excluded from averages."""
-    rows = []
-    for run in runs:
-        if not run.candidates:
-            logger.warning(kv(event="fc_empty_year", cutoff=run.cutoff_year))
-            continue
-        rows.append(_run_metrics(run))
+    rows = [_run_metrics(run) for run in runs if run.candidates]
     if rows:
         mean_hits = {k: float(np.mean([r.hits[k] for r in rows])) for k in HIT_KS}
         mean_mrr = float(np.mean([r.mrr for r in rows]))

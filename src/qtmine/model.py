@@ -8,6 +8,10 @@ float64 (`Params.astype`) is what lets that oracle pass tight tolerances. The
 forward pass keeps GELU's normal CDF in the layer cache, so the backward pass
 does not evaluate `erf` again.
 
+Training and evaluation share one loss head (`_mlm_head`): the vocabulary
+projection and the cross-entropy run at the targeted positions only, and
+`loss_and_grads` adds the backward pass that `eval_loss` skips.
+
 Scoring reads the vocabulary distribution only where a query asks for it:
 `predict_masked` pads many sequences into key-padding-masked batches and
 projects onto the vocabulary at the requested positions alone. `forward`
@@ -156,10 +160,6 @@ def init_params(config: ModelConfig, seed: int, stddev: float = 0.02, dtype=np.f
     return Params.from_named(config, tensors)
 
 
-def zero_grads(params: Params) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
-
-
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -263,7 +263,7 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, n
 def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate d(loss)/d(hf) through the stack; returns grads for all tensors."""
     cfg = params.config
-    grads = zero_grads(params)
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
     d = cfg.d_model
 
     dh, dgf, dbf = _ln_bwd(dhf, cache["final_ln"])
@@ -336,6 +336,15 @@ def _check_ids(params: Params, seq) -> np.ndarray:
     return ids
 
 
+def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """1-D rows as one (B, S) batch, right-padded with `fill`, and their (B,) lengths."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    batch = np.full((len(rows), lengths.max()), fill, dtype=dtype)
+    for i, row in enumerate(rows):
+        batch[i, :lengths[i]] = row
+    return batch, lengths
+
+
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
     ids = _check_ids(params, seq).reshape(1, -1)
@@ -379,10 +388,7 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     out: list[np.ndarray] = [np.empty(0)] * len(ids)
     for lo in range(0, len(order), PREDICT_BATCH):
         chunk = order[lo:lo + PREDICT_BATCH]
-        lengths = np.array([ids[i].size for i in chunk])
-        batch = np.zeros((len(chunk), lengths.max()), dtype=np.int64)
-        for row, i in enumerate(chunk):
-            batch[row, :lengths[row]] = ids[i]
+        batch, lengths = pad_rows([ids[i] for i in chunk])
         hf, _, _ = _forward_core(params, batch, lengths, need_cache=False)
         counts = [pos[i].size for i in chunk]
         rows = np.repeat(np.arange(len(chunk)), counts)
@@ -391,6 +397,47 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
         for i, part in zip(chunk, np.split(probs, np.cumsum(counts)[:-1])):
             out[i] = part
     return out
+
+
+def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
+    """The masked-LM loss head shared by training and evaluation.
+
+    Runs the (B, S) batch through the stack, gathers the final hidden rows at
+    the `delta` positions and projects them onto the vocabulary. Returns the
+    per-target cross-entropy log Σexp(z − zmax) − (z_label − zmax) and, with
+    `need_grads`, the gradients of its mean (otherwise None).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    delta = np.asarray(delta, dtype=bool)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_targeted = int(delta.sum())
+    if labels.shape[0] != n_targeted:
+        raise QtmineError(f"{labels.shape[0]} labels for {n_targeted} targeted positions")
+    if n_targeted == 0:
+        if need_grads:
+            raise QtmineError("batch has no targeted positions")
+        return np.zeros(0, dtype=params.dtype), None
+
+    hf, _, cache = _forward_core(params, ids, lengths, need_cache=need_grads)
+    rows = hf[delta]                                  # (T, d)
+    z = _vocab_logits(params, rows)                   # (T, V)
+    z -= z.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    sez = ez.sum(axis=-1, keepdims=True)
+    target = np.arange(n_targeted), labels
+    ce = np.log(sez[:, 0]) - z[target]
+    if not need_grads:
+        return ce, None
+
+    dz = np.divide(ez, sez, out=ez)                   # softmax, in ez's memory
+    dz[target] -= 1.0
+    dz /= n_targeted
+    dhf = np.zeros_like(hf)
+    dhf[delta] = dz @ params.emb
+    grads = _backward_core(params, cache, dhf)
+    grads["emb"] += dz.T @ rows
+    grads["out_bias"] += dz.sum(axis=0)
+    return ce, grads
 
 
 def loss_and_grads(
@@ -404,55 +451,18 @@ def loss_and_grads(
 
     `ids` is the corrupted (B, S) batch, `delta` a boolean (B, S) targeting
     mask, and `labels` the original token ids at the targeted positions, taken
-    in row-major order. Logits are only formed at targeted positions.
+    in row-major order. Logits are only formed at targeted positions; a batch
+    with none is an error.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    delta = np.asarray(delta, dtype=bool)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_targeted = int(delta.sum())
-    if n_targeted == 0:
-        raise QtmineError("batch has no targeted positions")
-    if labels.shape[0] != n_targeted:
-        raise QtmineError(f"{labels.shape[0]} labels for {n_targeted} targeted positions")
-
-    hf, _, cache = _forward_core(params, ids, lengths, need_cache=True)
-    rows = hf[delta]                                  # (T, d)
-    z = _vocab_logits(params, rows)                   # (T, V)
-
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    sez = ez.sum(axis=-1, keepdims=True)
-    log_probs = (z - zmax) - np.log(sez)
-    loss = float(-log_probs[np.arange(n_targeted), labels].mean())
-
-    dz = ez / sez
-    dz[np.arange(n_targeted), labels] -= 1.0
-    dz /= n_targeted
-
-    drows = dz @ params.emb
-    dhf = np.zeros_like(hf)
-    dhf[delta] = drows
-    grads = _backward_core(params, cache, dhf)
-    grads["emb"] += dz.T @ rows
-    grads["out_bias"] += dz.sum(axis=0)
-    return loss, grads
+    ce, grads = _mlm_head(params, ids, lengths, delta, labels, need_grads=True)
+    return float(ce.mean()), grads
 
 
 def eval_loss(params: Params, ids: np.ndarray, lengths: np.ndarray | None,
               delta: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
     """Summed masked cross-entropy without gradients; returns (ce_sum, count)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    delta = np.asarray(delta, dtype=bool)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_targeted = int(delta.sum())
-    if n_targeted == 0:
-        return 0.0, 0
-    hf, _, _ = _forward_core(params, ids, lengths, need_cache=False)
-    z = _vocab_logits(params, hf[delta])
-    zmax = z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z - zmax).sum(axis=-1)) + zmax[:, 0]
-    ce = lse - z[np.arange(n_targeted), labels]
-    return float(ce.sum()), n_targeted
+    ce, _ = _mlm_head(params, ids, lengths, delta, labels, need_grads=False)
+    return float(ce.sum()), ce.size
 
 
 def save_checkpoint(params: Params, path: str | Path) -> None:

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import model as M
 from .errors import EvalError, TemplateError
-from .tokenizer import Vocab, encode
+from .tokenizer import SPECIAL_MARKERS, Vocab, encode
 from .util import get_logger, kv
 
 logger = get_logger()
 
-MASK_PLACEHOLDER = "<mask>"
+MASK_PLACEHOLDER = SPECIAL_MARKERS["mask"].decode("ascii")
 DRUG_SLOT = "{drug}"
 DEFAULT_RANK_TEMPLATE = "In clinical trials, {drug} demonstrated <mask> <mask> <mask>."
 DEFAULT_TARGET_PHRASE = "clinical trials efficacy"

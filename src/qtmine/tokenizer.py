@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +30,7 @@ log = get_logger(__name__)
 
 N_BYTES = 256
 SPECIAL_NAMES = ("mask", "pad", "bos", "eos", "unk")
-SPECIAL_MARKERS = {
-    "mask": b"<mask>",
-    "pad": b"<pad>",
-    "bos": b"<bos>",
-    "eos": b"<eos>",
-    "unk": b"<unk>",
-}
+SPECIAL_MARKERS = {name: f"<{name}>".encode("ascii") for name in SPECIAL_NAMES}
 
 TokenSeq = list[int]
 
@@ -131,13 +126,7 @@ def _empty_vocab() -> Vocab:
     return Vocab(tokens=tokens, merges=[], special=special)
 
 
-def _doc_texts(docs) -> list[str]:
-    if hasattr(docs, "documents"):
-        return [d.text() for d in docs.documents]
-    return [str(t) for t in docs]
-
-
-def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
+def train_bpe(texts: Sequence[str], vocab_size: int, min_pair_count: int = 2) -> Vocab:
     """Learn BPE merges by greedy highest-frequency pair merging.
 
     Merging stops when `vocab_size` tokens exist or no adjacent pair occurs at
@@ -145,7 +134,6 @@ def train_bpe(docs, vocab_size: int, min_pair_count: int = 2) -> Vocab:
     byte order of the merged pair (then of the left token), so retraining on
     identical input is byte-identical. Pairs never span document boundaries.
     """
-    texts = _doc_texts(docs)
     vocab = _empty_vocab()
     n_base = vocab.size
     if vocab_size <= n_base:

@@ -5,6 +5,10 @@ windows. Each epoch re-masks every window with fresh randomness (dynamic
 masking), so a window seen in ten epochs is seen under ten different masks.
 Optimization is Adam with linear warmup followed by linear decay to zero.
 
+Pretraining (`train`) and k-shot fine-tuning (`kshot_finetune`) differ only
+in how they pick windows; every update is one `_step`, which is also the one
+place a batch with nothing targeted is skipped.
+
 Everything is driven by a single seeded generator, so a rerun with the same
 seed reproduces the checkpoint bit for bit.
 """
@@ -136,31 +140,11 @@ def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
 
 def mask_batch(rng: np.random.Generator, rows: Sequence[np.ndarray], vocab: Vocab,
                cfg: TrainConfig) -> MaskedBatch:
-    """Pad rows to a common length and corrupt each one."""
-    b = len(rows)
-    s = max(r.shape[0] for r in rows)
-    ids = np.full((b, s), vocab.pad_id, dtype=np.int64)
-    delta = np.zeros((b, s), dtype=bool)
-    lengths = np.asarray([r.shape[0] for r in rows], dtype=np.int64)
-    labels_parts = []
-    for i, row in enumerate(rows):
-        corrupted, d, lab = dynamic_mask(rng, row, vocab, cfg)
-        ids[i, : row.shape[0]] = corrupted
-        delta[i, : row.shape[0]] = d
-        labels_parts.append(lab)
-    labels = np.concatenate(labels_parts) if labels_parts else np.zeros(0, dtype=np.int64)
-    return MaskedBatch(ids=ids, lengths=lengths, delta=delta, labels=labels)
-
-
-def mlm_loss(params: M.Params, batch: MaskedBatch) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over targeted positions plus gradients.
-
-    A batch with nothing targeted contributes zero loss and zero gradients.
-    """
-    if batch.labels.size == 0:
-        logger.warning(kv(event="empty_mask_batch"))
-        return 0.0, M.zero_grads(params)
-    return M.loss_and_grads(params, batch.ids, batch.lengths, batch.delta, batch.labels)
+    """Corrupt each row and pad the rows to a common length."""
+    corrupted, deltas, labels = zip(*(dynamic_mask(rng, row, vocab, cfg) for row in rows))
+    ids, lengths = M.pad_rows(corrupted, vocab.pad_id)
+    delta, _ = M.pad_rows(deltas, False, bool)
+    return MaskedBatch(ids=ids, lengths=lengths, delta=delta, labels=np.concatenate(labels))
 
 
 class AdamState:
@@ -197,12 +181,27 @@ def _eval_batches(rng: np.random.Generator, windows: list[np.ndarray], vocab: Vo
     return batches
 
 
+def _step(params: M.Params, adam: AdamState, batch: MaskedBatch, lr: float, step: int) -> float:
+    """One Adam step on the batch's masked-LM loss, which it returns.
+
+    A batch with nothing targeted has no loss to descend: the step logs
+    `empty_mask_batch`, returns 0.0 and leaves `params` and `adam` untouched.
+    A non-finite loss is fatal.
+    """
+    if batch.labels.size == 0:
+        logger.warning(kv(event="empty_mask_batch", step=step))
+        return 0.0
+    loss, grads = M.loss_and_grads(params, batch.ids, batch.lengths, batch.delta, batch.labels)
+    if not np.isfinite(loss):
+        raise QtmineError(f"non-finite loss {loss} at step {step}")
+    adam.update(params, grads, lr)
+    return loss
+
+
 def eval_ce(params: M.Params, batches: Sequence[MaskedBatch]) -> float | None:
     """Mean cross-entropy per targeted position over prepared batches."""
     total, count = 0.0, 0
     for batch in batches:
-        if batch.labels.size == 0:
-            continue
         ce, n = M.eval_loss(params, batch.ids, batch.lengths, batch.delta, batch.labels)
         total += ce
         count += n
@@ -245,33 +244,22 @@ def train(
 
     adam = AdamState(params, cfg)
     curve: list[tuple[int, float, float | None]] = []
-    step = 0
-    done = False
-    for _epoch in range(cfg.n_epochs):
-        if done:
-            break
-        order = rng.permutation(len(windows))
-        for start in range(0, len(windows), cfg.batch_size):
-            step += 1
-            rows = [windows[i] for i in order[start:start + cfg.batch_size]]
-            batch = mask_batch(rng, rows, vocab, cfg)
-            loss, grads = mlm_loss(params, batch)
-            if not np.isfinite(loss):
-                raise QtmineError(f"non-finite loss {loss} at step {step}")
-            lr = lr_schedule(step, total_steps, cfg.lr, cfg.warmup_frac)
-            if batch.labels.size:
-                adam.update(params, grads, lr)
+    for step in range(1, run_steps + 1):
+        start = (step - 1) % per_epoch * cfg.batch_size
+        if start == 0:
+            order = rng.permutation(len(windows))
+        rows = [windows[i] for i in order[start:start + cfg.batch_size]]
+        batch = mask_batch(rng, rows, vocab, cfg)
+        lr = lr_schedule(step, total_steps, cfg.lr, cfg.warmup_frac)
+        loss = _step(params, adam, batch, lr, step)
 
-            ce = None
-            if eval_batches and (step % cfg.eval_every == 0 or step == run_steps):
-                ce = eval_ce(params, eval_batches)
-                logger.info(kv(event="eval", step=step, eval_ce=ce))
-            curve.append((step, loss, ce))
-            if step % cfg.log_every == 0 or step == run_steps:
-                logger.info(kv(event="train", step=step, loss=loss, lr=lr))
-            if step >= run_steps:
-                done = True
-                break
+        ce = None
+        if eval_batches and (step % cfg.eval_every == 0 or step == run_steps):
+            ce = eval_ce(params, eval_batches)
+            logger.info(kv(event="eval", step=step, eval_ce=ce))
+        curve.append((step, loss, ce))
+        if step % cfg.log_every == 0 or step == run_steps:
+            logger.info(kv(event="train", step=step, loss=loss, lr=lr))
 
     final_ce = next((ce for _, _, ce in reversed(curve) if ce is not None), None)
     if curve_path is not None:
@@ -280,7 +268,7 @@ def train(
             writer.writerow(["step", "loss", "eval_loss"])
             for s, loss, ce in curve:
                 writer.writerow([s, f"{loss:.6f}", "" if ce is None else f"{ce:.6f}"])
-    return TrainResult(params=params, steps=step, curve=curve, final_eval_ce=final_ce)
+    return TrainResult(params=params, steps=run_steps, curve=curve, final_eval_ce=final_ce)
 
 
 def perplexity(params: M.Params, vocab: Vocab, texts: Sequence[str],
@@ -302,25 +290,24 @@ def kshot_finetune(
     vocab: Vocab,
     texts: Sequence[str],
     seed: int | np.random.SeedSequence,
+    cfg: TrainConfig,
     n_steps: int = 50,
-    lr: float = 1e-4,
-    cfg: TrainConfig | None = None,
 ) -> M.Params:
-    """Fine-tune a copy of `params` on a handful of texts; the copy is returned."""
-    base = cfg or TrainConfig()
+    """Fine-tune a copy of `params` on a handful of texts; the copy is returned.
+
+    Each of the `n_steps` steps is a `train` step on a batch of windows drawn
+    with replacement, with `cfg.lr` warmed up and decayed over `n_steps`.
+    """
+    if n_steps < 1:
+        raise DataFormatError(f"k-shot steps must be at least 1, got {n_steps}")
     tuned = params.copy()
     windows = build_windows(vocab, texts, tuned.config.max_seq)
     if not windows:
         raise QtmineError("no trainable windows in fine-tuning texts")
     rng = np.random.default_rng(seed)
-    adam = AdamState(tuned, base)
+    adam = AdamState(tuned, cfg)
     for step in range(1, n_steps + 1):
-        pick = rng.integers(0, len(windows), size=min(base.batch_size, len(windows)))
-        rows = [windows[i] for i in pick]
-        batch = mask_batch(rng, rows, vocab, base)
-        loss, grads = mlm_loss(tuned, batch)
-        if not np.isfinite(loss):
-            raise QtmineError(f"non-finite loss {loss} at fine-tune step {step}")
-        if batch.labels.size:
-            adam.update(tuned, grads, lr_schedule(step, n_steps, lr, base.warmup_frac))
+        pick = rng.integers(0, len(windows), size=min(cfg.batch_size, len(windows)))
+        batch = mask_batch(rng, [windows[i] for i in pick], vocab, cfg)
+        _step(tuned, adam, batch, lr_schedule(step, n_steps, cfg.lr, cfg.warmup_frac), step)
     return tuned

@@ -3,6 +3,7 @@ acceptance-criteria summary printed at the end of the run."""
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -33,6 +34,30 @@ class SynthRun:
     @property
     def params(self) -> Params:
         return self.result.params
+
+
+class _MessageList(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+@pytest.fixture
+def qtmine_log():
+    """Messages of warning level and above logged by qtmine during the test.
+
+    The handler sits on the `qtmine` logger itself, because the CLI's
+    `setup_logging` stops that logger from propagating to pytest's handler.
+    """
+    logger = logging.getLogger("qtmine")
+    handler = _MessageList()
+    handler.setLevel(logging.WARNING)
+    logger.addHandler(handler)
+    yield handler.messages
+    logger.removeHandler(handler)
 
 
 @pytest.fixture(scope="session")

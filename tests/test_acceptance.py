@@ -228,7 +228,7 @@ def test_end_to_end_synthetic_training(synth_run):
     sentences, shot_ids = A.sample_kshot(items, k=80, seed=123)
     before = A.eval_analogies(params, vocab, items, exclude=shot_ids)
     tuned = T.kshot_finetune(
-        params, vocab, sentences, seed=11, n_steps=800, lr=1e-3,
+        params, vocab, sentences, seed=11, n_steps=800,
         cfg=T.TrainConfig(lr=1e-3, batch_size=16, n_epochs=1,
                           mask_rate=0.30, warmup_frac=0.06))
     after = A.eval_analogies(tuned, vocab, items, exclude=shot_ids)

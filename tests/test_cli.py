@@ -625,6 +625,19 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return ["--config", config, *train, "--max-steps", "0"]
     if case == "max-steps-negative":
         return ["--config", config, *train, "--max-steps", "-1"]
+    if case == "seed-negative-flag":
+        return ["--config", config, "--seed", "-1", *train]
+    if case == "seed-negative-config":
+        return ["--config", _config_with(ws, tmp_path, seed=-1), *train]
+    kshot = ["--config", config, "kshot", *model_args(ws), "--k", "1"]
+    if case == "kshot-steps-zero":
+        return [*kshot, "--steps", "0"]
+    if case == "kshot-steps-negative":
+        return [*kshot, "--steps", "-2"]
+    if case == "kshot-lr-zero":
+        return [*kshot, "--steps", "2", "--lr", "0"]
+    if case == "kshot-lr-negative":
+        return [*kshot, "--steps", "2", "--lr", "-1"]
     raise AssertionError(case)
 
 
@@ -639,6 +652,12 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("years-not-a-number", "DataFormatError"),
     ("max-steps-zero", "DataFormatError"),
     ("max-steps-negative", "DataFormatError"),
+    ("seed-negative-flag", "DataFormatError"),
+    ("seed-negative-config", "DataFormatError"),
+    ("kshot-steps-zero", "DataFormatError"),
+    ("kshot-steps-negative", "DataFormatError"),
+    ("kshot-lr-zero", "DataFormatError"),
+    ("kshot-lr-negative", "DataFormatError"),
 ])
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))

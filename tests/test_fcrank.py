@@ -182,13 +182,14 @@ def test_fc_analysis_is_bit_reproducible(fc_docs, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_fc_analysis_records_empty_years(fc_docs):
+def test_fc_analysis_records_empty_years(fc_docs, qtmine_log):
     runs, metrics = fc_analysis(fc_docs, TRIALS, APPROVALS, [1995, 2001],
                                 vocab_size=FC_VOCAB, model_dims=MODEL_DIMS,
                                 train_cfg=FC_TRAIN, base_seed=0)
     assert runs[0].candidates == () and runs[0].ranked == ()
     assert metrics.n_scored_years == 1
     assert metrics.per_year[0].cutoff_year == 2001
+    assert [m for m in qtmine_log if "1995" in m] == ["event=fc_no_candidates cutoff=1995"]
 
 
 def test_fc_analysis_shared_model_mode(fc_docs):

@@ -241,6 +241,17 @@ def test_padded_batch_loss_matches_single_rows():
     assert abs(ce_sum - np.sum(ces)) < 1e-10
 
 
+def test_eval_loss_mean_matches_training_loss_in_float32():
+    params = tiny_params(seed=9, dtype=np.float32)
+    rng = np.random.default_rng(2)
+    rows = [rng.integers(0, TINY.vocab_size, n).tolist() for n in (12, 7, 4, 9)]
+    ids, lengths, delta, labels = padded_batch(params, rng, rows)
+    loss, _ = loss_and_grads(params, ids, lengths, delta, labels)
+    ce_sum, n = eval_loss(params, ids, lengths, delta, labels)
+    assert n == labels.size
+    assert ce_sum / n == pytest.approx(loss, rel=1e-6)
+
+
 def test_padding_content_is_invisible():
     params = tiny_params(seed=8)
     row = [4, 9, 2, 31, 5]
@@ -267,6 +278,8 @@ def test_loss_rejects_degenerate_targets():
     delta = np.array([[True, False, True]])
     with pytest.raises(QtmineError):
         loss_and_grads(params, ids, None, delta, np.array([1]))
+    with pytest.raises(QtmineError):
+        eval_loss(params, ids, None, delta, np.array([1]))
 
 
 def test_eval_loss_empty_targets_is_zero():

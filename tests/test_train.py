@@ -20,8 +20,8 @@ from qtmine.train import (
     dynamic_mask,
     kshot_finetune,
     lr_schedule,
+    _step,
     mask_batch,
-    mlm_loss,
     perplexity,
     train,
 )
@@ -167,18 +167,23 @@ def test_mask_batch_layout(small_vocab):
     np.testing.assert_array_equal(batch.labels, expect)
 
 
-def test_mlm_loss_empty_batch_is_zero(small_vocab):
+def test_step_on_empty_batch_changes_nothing(small_vocab, qtmine_log):
     vocab = small_vocab
     params = small_model(vocab)
+    before = {name: arr.copy() for name, arr in params.named_tensors()}
+    adam = AdamState(params, TrainConfig())
     batch = MaskedBatch(
         ids=np.array([[vocab.pad_id, vocab.pad_id]]),
         lengths=np.array([2]),
         delta=np.zeros((1, 2), dtype=bool),
         labels=np.zeros(0, dtype=np.int64),
     )
-    loss, grads = mlm_loss(params, batch)
-    assert loss == 0.0
-    assert not grads["emb"].any()
+    assert _step(params, adam, batch, lr=1e-3, step=7) == 0.0
+    assert adam.t == 0
+    for name, arr in params.named_tensors():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+        assert not adam.m[name].any() and not adam.v[name].any()
+    assert qtmine_log == ["event=empty_mask_batch step=7"]
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +306,14 @@ def test_kshot_finetune_leaves_base_untouched(small_vocab):
     vocab = small_vocab
     params = small_model(vocab, seed=4)
     before = {name: arr.copy() for name, arr in params.named_tensors()}
-    tuned = kshot_finetune(params, vocab, TEXTS[:3], seed=0, n_steps=4, lr=1e-3)
+    cfg = TrainConfig(lr=1e-3)
+    tuned = kshot_finetune(params, vocab, TEXTS[:3], seed=0, cfg=cfg, n_steps=4)
     assert tuned is not params
     for name, arr in params.named_tensors():
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
     assert not np.array_equal(tuned.emb, params.emb)
     with pytest.raises(QtmineError):
-        kshot_finetune(params, vocab, [""], seed=0, n_steps=1)
+        kshot_finetune(params, vocab, [""], seed=0, cfg=cfg, n_steps=1)
 
 
 def test_perplexity_bounds_and_determinism(small_vocab):
