@@ -12,6 +12,23 @@ Training and evaluation share one loss head (`_mlm_head`): the vocabulary
 projection and the cross-entropy run at the targeted positions only, and
 `loss_and_grads` adds the backward pass that `eval_loss` skips.
 
+Batches are padding-free for every row-wise layer. `_forward_core` gathers the
+real tokens of a right-padded (B, S) batch, by their row lengths, into one
+packed (N, d_model) block. The embedding sum, the layer norms, the Q/K/V/O
+projections, the FFN and GELU run on that block. Only attention sees the
+(B, S) layout: Q, K and V are scattered into zero-filled buffers, attention
+masks the padded keys, and its output is gathered back. The backward pass
+keeps the row-wise work packed too, with two exceptions that run on
+zero-filled (B·S, ·) copies: the weight gradients X.T @ dY, and the FFN input
+gradient df1 @ w1.T. Zero rows add nothing to those products, so they keep
+the bits of a padded batch. Packed, they would not: a weight gradient sums
+over fewer rows, which BLAS splits into other partial sums once B·S passes a
+few hundred, and a packed df1 @ w1.T changes the fixed-seed golden checkpoint.
+The packed products can also differ from one GEMM per sequence in the last
+bits where BLAS picks another kernel for the smaller per-sequence product
+(OpenBLAS does at d_model 128 for windows of 15 tokens or fewer);
+`tests/test_model.py` bounds that difference against unpadded rows.
+
 Scoring reads the vocabulary distribution only where a query asks for it:
 `predict_masked` pads many sequences into key-padding-masked batches and
 projects onto the vocabulary at the requested positions alone. `forward`
@@ -34,6 +51,7 @@ import numpy as np
 from scipy.special import erf, ndtri
 
 from .errors import CheckpointError, DataFormatError, QtmineError
+from .util import write_atomic
 
 LN_EPS = 1e-5
 NEG_INF = -1e9
@@ -183,9 +201,8 @@ def _ln_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 def _ln_bwd(dy: np.ndarray, cache):
     xhat, ivar, g = cache
-    axes = tuple(range(dy.ndim - 1))
-    dg = np.sum(dy * xhat, axis=axes)
-    db = np.sum(dy, axis=axes)
+    dg = np.sum(dy * xhat, axis=0)
+    db = np.sum(dy, axis=0)
     dxhat = dy * g
     dx = ivar * (
         dxhat
@@ -205,8 +222,36 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, need_cache: bool):
-    """Shared forward pass over a (B, S) id batch. Returns (hf, attn, cache)."""
+def _layout(ids: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """A (B, S) batch's validated (B,) lengths and the flat row-major indices
+    of its real tokens; `lengths=None` means every slot is a real token."""
+    b, s = ids.shape
+    if lengths is None:
+        lengths = np.full(b, s, dtype=np.int64)
+    else:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer):
+            raise QtmineError(f"lengths must be {b} integers for a batch of {b} rows, got {lengths!r}")
+        if lengths.min() < 1 or lengths.max() > s:
+            raise QtmineError(f"lengths {lengths.tolist()} outside 1..{s}")
+    return lengths, np.flatnonzero(np.arange(s) < lengths[:, None])
+
+
+def _padded(rows: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+    """Packed (N, w) rows in a zero-filled (B·S, w) block, at their slots."""
+    out = np.zeros((n_slots, rows.shape[1]), dtype=rows.dtype)
+    out[slots] = rows
+    return out
+
+
+def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray, slots: np.ndarray,
+                  need_cache: bool):
+    """Shared forward pass over a (B, S) id batch laid out by `_layout`.
+
+    Returns (hf, attn, cache): hf holds the final hidden rows of the real
+    tokens only, packed in row-major order (N, d_model). Every row-wise layer
+    runs on that packed block; only attention sees the padded (B, S) batch.
+    """
     cfg = params.config
     b, s = ids.shape
     if s > cfg.max_seq:
@@ -214,27 +259,30 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, n
     dtype = params.dtype
 
     mask_add = None
-    if lengths is not None:
-        cols = np.arange(s)
-        mask_add = np.where(cols[None, :] < np.asarray(lengths)[:, None], 0.0, NEG_INF)
+    if slots.size < b * s:
+        mask_add = np.where(np.arange(s)[None, :] < lengths[:, None], 0.0, NEG_INF)
         mask_add = mask_add.astype(dtype)[:, None, None, :]  # (B,1,1,S)
 
-    h = params.emb[ids] + params.pos[:s][None, :, :]
+    tokens = ids.reshape(-1)[slots]
+    h = params.emb[tokens] + params.pos[slots % s]
     scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=dtype))
 
-    cache = {"ids": ids, "layers": []} if need_cache else None
+    def heads(rows):
+        return _split_heads(_padded(rows, slots, b * s).reshape(b, s, -1), cfg.n_heads)
+
+    cache = {"tokens": tokens, "slots": slots, "shape": (b, s), "layers": []} if need_cache else None
     attn_maps = []
     for layer in params.layers:
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
-        q = _split_heads(u @ layer["wq"] + layer["bq"], cfg.n_heads)
-        k = _split_heads(u @ layer["wk"] + layer["bk"], cfg.n_heads)
-        v = _split_heads(u @ layer["wv"] + layer["bv"], cfg.n_heads)
+        q = heads(u @ layer["wq"] + layer["bq"])
+        k = heads(u @ layer["wk"] + layer["bk"])
+        v = heads(u @ layer["wv"] + layer["bv"])
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
         if mask_add is not None:
             scores = scores + mask_add
         attn = stable_softmax(scores, axis=-1)
-        ctx = _merge_heads(attn @ v)
-        o = ctx @ layer["wo"] + layer["bo"]
+        ctx = _merge_heads(attn @ v).reshape(b * s, -1)
+        o = ctx[slots] @ layer["wo"] + layer["bo"]
         h_mid = h + o
 
         v_in, ln2_cache = _ln_fwd(h_mid, layer["ln2_g"], layer["ln2_b"])
@@ -247,9 +295,8 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, n
         attn_maps.append(attn)
         if need_cache:
             cache["layers"].append({
-                "h_in": h, "ln1": ln1_cache, "u": u, "q": q, "k": k, "v": v,
-                "attn": attn, "ctx": ctx, "ln2": ln2_cache, "v_in": v_in,
-                "f1": f1, "cdf": cdf, "f2": f2,
+                "ln1": ln1_cache, "u": u, "q": q, "k": k, "v": v, "attn": attn,
+                "ctx": ctx, "ln2": ln2_cache, "v_in": v_in, "f1": f1, "cdf": cdf, "f2": f2,
             })
         h = h_out
 
@@ -261,10 +308,20 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray | None, n
 
 
 def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate d(loss)/d(hf) through the stack; returns grads for all tensors."""
+    """Backpropagate d(loss)/d(hf), packed (N, d_model), through the stack.
+
+    Returns grads for all tensors. Row-wise work stays packed. Each weight
+    gradient X.T @ dY, and the FFN input gradient df1 @ w1.T, runs on
+    zero-filled (B·S, ·) copies instead: the padded products keep the bits of
+    a padded batch, which packed ones do not on every BLAS.
+    """
     cfg = params.config
     grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
-    d = cfg.d_model
+    b, s = cache["shape"]
+    slots = cache["slots"]
+
+    def padded(rows):
+        return _padded(rows, slots, b * s)
 
     dh, dgf, dbf = _ln_bwd(dhf, cache["final_ln"])
     grads["final_ln_g"] += dgf
@@ -277,47 +334,43 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         prefix = f"layers.{i}."
 
         # Feed-forward sub-block (residual: h_out = h_mid + ffn(v_in)).
-        df3 = dh
-        grads[prefix + "w2"] += lcache["f2"].reshape(-1, cfg.d_ff).T @ df3.reshape(-1, d)
-        grads[prefix + "b2"] += df3.sum(axis=(0, 1))
-        df1 = (df3 @ layer["w2"].T) * _gelu_grad(lcache["f1"], lcache["cdf"])
-        grads[prefix + "w1"] += lcache["v_in"].reshape(-1, d).T @ df1.reshape(-1, cfg.d_ff)
-        grads[prefix + "b1"] += df1.sum(axis=(0, 1))
-        dv_in = df1 @ layer["w1"].T
+        grads[prefix + "w2"] += padded(lcache["f2"]).T @ padded(dh)
+        grads[prefix + "b2"] += dh.sum(axis=0)
+        df1 = (dh @ layer["w2"].T) * _gelu_grad(lcache["f1"], lcache["cdf"])
+        df1_padded = padded(df1)
+        grads[prefix + "w1"] += padded(lcache["v_in"]).T @ df1_padded
+        grads[prefix + "b1"] += df1.sum(axis=0)
+        dv_in = (df1_padded.reshape(b, s, -1) @ layer["w1"].T).reshape(b * s, -1)[slots]
         dh_mid, dg2, db2 = _ln_bwd(dv_in, lcache["ln2"])
         grads[prefix + "ln2_g"] += dg2
         grads[prefix + "ln2_b"] += db2
         dh_mid = dh_mid + dh
 
         # Attention sub-block (residual: h_mid = h_in + attn(u)).
-        do = dh_mid
-        grads[prefix + "wo"] += lcache["ctx"].reshape(-1, d).T @ do.reshape(-1, d)
-        grads[prefix + "bo"] += do.sum(axis=(0, 1))
-        dctx = _split_heads(do @ layer["wo"].T, cfg.n_heads)
+        grads[prefix + "wo"] += lcache["ctx"].T @ padded(dh_mid)
+        grads[prefix + "bo"] += dh_mid.sum(axis=0)
+        dctx = _split_heads(padded(dh_mid @ layer["wo"].T).reshape(b, s, -1), cfg.n_heads)
         attn, q, k, v = lcache["attn"], lcache["q"], lcache["k"], lcache["v"]
         dattn = dctx @ v.transpose(0, 1, 3, 2)
         dv = attn.transpose(0, 1, 3, 2) @ dctx
         dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
         dq = (dscores @ k) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-        dq2, dk2, dv2 = (_merge_heads(x).reshape(-1, d) for x in (dq, dk, dv))
-        u2 = lcache["u"].reshape(-1, d)
-        grads[prefix + "wq"] += u2.T @ dq2
-        grads[prefix + "bq"] += dq2.sum(axis=0)
-        grads[prefix + "wk"] += u2.T @ dk2
-        grads[prefix + "bk"] += dk2.sum(axis=0)
-        grads[prefix + "wv"] += u2.T @ dv2
-        grads[prefix + "bv"] += dv2.sum(axis=0)
-        du = (dq2 @ layer["wq"].T + dk2 @ layer["wk"].T + dv2 @ layer["wv"].T).reshape(dh_mid.shape)
-        dh_in, dg1, db1 = _ln_bwd(du, lcache["ln1"])
+        u_padded = padded(lcache["u"])
+        du = []
+        for name, dx in (("q", dq), ("k", dk), ("v", dv)):
+            dx = _merge_heads(dx).reshape(b * s, -1)
+            grads[prefix + "w" + name] += u_padded.T @ dx
+            dx = dx[slots]
+            grads[prefix + "b" + name] += dx.sum(axis=0)
+            du.append(dx @ layer["w" + name].T)
+        dh_in, dg1, db1 = _ln_bwd(du[0] + du[1] + du[2], lcache["ln1"])
         grads[prefix + "ln1_g"] += dg1
         grads[prefix + "ln1_b"] += db1
         dh = dh_in + dh_mid
 
-    ids = cache["ids"]
-    s = ids.shape[1]
-    np.add.at(grads["emb"], ids.reshape(-1), dh.reshape(-1, d))
-    grads["pos"][:s] += dh.sum(axis=0)
+    np.add.at(grads["emb"], cache["tokens"], dh)
+    grads["pos"][:s] += padded(dh).reshape(b, s, -1).sum(axis=0)
     return grads
 
 
@@ -348,8 +401,7 @@ def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
     ids = _check_ids(params, seq).reshape(1, -1)
-    hf, attn_maps, _ = _forward_core(params, ids, lengths=None, need_cache=False)
-    hidden = hf[0]
+    hidden, attn_maps, _ = _forward_core(params, ids, *_layout(ids, None), need_cache=False)
     logits = _vocab_logits(params, hidden)
     attentions = np.stack([a[0] for a in attn_maps]) if collect_attention and attn_maps else np.zeros(
         (0, params.config.n_heads, ids.shape[1], ids.shape[1]), dtype=params.dtype
@@ -389,11 +441,11 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     for lo in range(0, len(order), PREDICT_BATCH):
         chunk = order[lo:lo + PREDICT_BATCH]
         batch, lengths = pad_rows([ids[i] for i in chunk])
-        hf, _, _ = _forward_core(params, batch, lengths, need_cache=False)
+        hf, _, _ = _forward_core(params, batch, *_layout(batch, lengths), need_cache=False)
+        starts = np.cumsum(lengths) - lengths         # each sequence's first packed row
         counts = [pos[i].size for i in chunk]
-        rows = np.repeat(np.arange(len(chunk)), counts)
-        cols = np.concatenate([pos[i] for i in chunk])
-        probs = stable_softmax(_vocab_logits(params, hf[rows, cols]))
+        rows = np.repeat(starts, counts) + np.concatenate([pos[i] for i in chunk])
+        probs = stable_softmax(_vocab_logits(params, hf[rows]))
         for i, part in zip(chunk, np.split(probs, np.cumsum(counts)[:-1])):
             out[i] = part
     return out
@@ -410,16 +462,22 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     ids = np.asarray(ids, dtype=np.int64)
     delta = np.asarray(delta, dtype=bool)
     labels = np.asarray(labels, dtype=np.int64)
+    if ids.ndim != 2 or delta.shape != ids.shape:
+        raise QtmineError(f"targeting mask of shape {delta.shape} for an id batch of shape {ids.shape}")
     n_targeted = int(delta.sum())
     if labels.shape[0] != n_targeted:
         raise QtmineError(f"{labels.shape[0]} labels for {n_targeted} targeted positions")
+    lengths, slots = _layout(ids, lengths)
+    targets = delta.reshape(-1)[slots]                # (N,) over the packed rows
+    if int(targets.sum()) != n_targeted:
+        raise QtmineError("a targeted position lies at or past its row's length")
     if n_targeted == 0:
         if need_grads:
             raise QtmineError("batch has no targeted positions")
         return np.zeros(0, dtype=params.dtype), None
 
-    hf, _, cache = _forward_core(params, ids, lengths, need_cache=need_grads)
-    rows = hf[delta]                                  # (T, d)
+    hf, _, cache = _forward_core(params, ids, lengths, slots, need_cache=need_grads)
+    rows = hf[targets]                                # (T, d)
     z = _vocab_logits(params, rows)                   # (T, V)
     z -= z.max(axis=-1, keepdims=True)
     ez = np.exp(z)
@@ -433,7 +491,7 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     dz[target] -= 1.0
     dz /= n_targeted
     dhf = np.zeros_like(hf)
-    dhf[delta] = dz @ params.emb
+    dhf[targets] = dz @ params.emb
     grads = _backward_core(params, cache, dhf)
     grads["emb"] += dz.T @ rows
     grads["out_bias"] += dz.sum(axis=0)
@@ -449,10 +507,12 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean masked cross-entropy over targeted positions, with full gradients.
 
-    `ids` is the corrupted (B, S) batch, `delta` a boolean (B, S) targeting
-    mask, and `labels` the original token ids at the targeted positions, taken
-    in row-major order. Logits are only formed at targeted positions; a batch
-    with none is an error.
+    `ids` is the corrupted (B, S) batch, right-padded to the (B,) `lengths`
+    (None: no padding), `delta` a boolean (B, S) targeting mask, and `labels`
+    the original token ids at the targeted positions, taken in row-major
+    order. Logits are only formed at targeted positions; a batch with none, a
+    length outside 1..S, a mask of another shape or a target in the padding
+    is an error.
     """
     ce, grads = _mlm_head(params, ids, lengths, delta, labels, need_grads=True)
     return float(ce.mean()), grads
@@ -466,18 +526,22 @@ def eval_loss(params: Params, ids: np.ndarray, lengths: np.ndarray | None,
 
 
 def save_checkpoint(params: Params, path: str | Path) -> None:
-    """Write the weights as little-endian float32 with a JSON config sidecar."""
+    """Write the weights as little-endian float32 with a JSON config sidecar.
+
+    Each file is replaced atomically, the binary first and the sidecar last,
+    so a save that fails part-way leaves the earlier sidecar in place.
+    """
     path = Path(path)
     tensors = params.named_tensors()
     flat = np.concatenate([np.ascontiguousarray(arr, dtype="<f4").reshape(-1) for _, arr in tensors])
     header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, flat.size)
-    path.write_bytes(header + flat.tobytes())
+    write_atomic(path, header + flat.tobytes())
     sidecar = {
         "format_version": CHECKPOINT_VERSION,
         "model": asdict(params.config),
         "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in tensors],
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
+    write_atomic(str(path) + ".json", json.dumps(sidecar, indent=2).encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path) -> Params:

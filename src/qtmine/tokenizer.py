@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .util import get_logger, kv, read_text
+from .util import get_logger, kv, read_text, write_atomic
 
 log = get_logger(__name__)
 
@@ -325,7 +325,7 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
         "merges": [list(pair) for pair in vocab.merges],
         "special": dict(vocab.special),
     }
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    write_atomic(path, json.dumps(doc, ensure_ascii=False).encode("utf-8"))
 
 
 def load_vocab(path: str | Path) -> Vocab:

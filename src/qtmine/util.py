@@ -1,9 +1,11 @@
-"""Small shared helpers: key=value logging, the data-file reader, and a thread
-map no module uses.
+"""Small shared helpers: key=value logging, the data-file reader, the atomic
+file writer, and a thread map no module uses.
 
 Every loader reads its file through `read_text`, so a missing, unreadable or
 non-UTF-8 file ends in a `DataFormatError` rather than an `OSError` or
-`UnicodeDecodeError`.
+`UnicodeDecodeError`. Checkpoints, vocabularies and the fc outputs are written
+through `write_atomic`, so a reader sees either the old file or the new one,
+never a half-written one.
 
 Scoring runs as batched matrix work (`model.predict_masked`), which BLAS
 already parallelises, so no part of the program calls `pmap` or reads
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import os
+import secrets
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -68,6 +71,26 @@ def read_text(path: str | Path, what: str, errors: str = "strict") -> str:
         raise DataFormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{what} {path} is not valid UTF-8 at byte {exc.start}") from None
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace `path` with `data` in one step.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` through `os.replace`; if writing or replacing fails, the
+    temporary file is removed and `path` is left as it was. This guards
+    against an interrupted or failing process, not against power loss: the
+    data is not fsynced.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def max_workers() -> int:

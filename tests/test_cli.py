@@ -22,7 +22,7 @@ from qtmine.errors import DataFormatError, QtmineError
 from qtmine.highlight import parse_html_scores
 from qtmine.model import load_checkpoint, save_checkpoint
 from qtmine.tokenizer import load_vocab
-from qtmine.util import kv, max_workers, pmap
+from qtmine.util import kv, max_workers, pmap, write_atomic
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -183,6 +183,24 @@ def test_pmap_preserves_input_order(monkeypatch):
     assert pmap(str, []) == []
     monkeypatch.setenv("QTMINE_THREADS", "1")
     assert pmap(lambda x: x + 1, items) == [x + 1 for x in items]
+
+
+def test_write_atomic_replaces_the_whole_file_or_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    write_atomic(path, b"first")
+    write_atomic(path, b"second, longer")
+    assert path.read_bytes() == b"second, longer"
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_atomic(path, b"third")
+    with pytest.raises(TypeError):
+        write_atomic(tmp_path / "new.bin", "not bytes")
+    assert path.read_bytes() == b"second, longer"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 # ---------------------------------------------------------------------------

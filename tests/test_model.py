@@ -7,10 +7,12 @@ elementwise sweep lives in the acceptance suite.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from qtmine import model
 from qtmine.errors import CheckpointError, DataFormatError, QtmineError
 from qtmine.model import (
     LN_EPS,
@@ -270,6 +272,125 @@ def test_padding_content_is_invisible():
         np.testing.assert_array_equal(ga[name], gb[name])
 
 
+def masked_batch(rng, vocab_size, lengths, pad_id=1):
+    """A right-padded (B, S) batch targeting about 15% (at least one) of each row."""
+    ids = np.full((len(lengths), max(lengths)), pad_id, dtype=np.int64)
+    delta = np.zeros(ids.shape, dtype=bool)
+    for i, n in enumerate(lengths):
+        ids[i, :n] = rng.integers(0, vocab_size, n)
+        delta[i, rng.choice(n, max(1, int(0.15 * n)), replace=False)] = True
+    labels = rng.integers(0, vocab_size, int(delta.sum()))
+    return ids, np.asarray(lengths), delta, labels
+
+
+def test_padding_content_is_ignored_by_every_entry_point(monkeypatch):
+    # float32, as training and scoring run. Junk in the pad slots must change
+    # no bit of the loss, any gradient, the evaluation sum or a prediction.
+    params = init_params(TINY, seed=12)
+    rng = np.random.default_rng(12)
+    ids, lengths, delta, labels = masked_batch(rng, TINY.vocab_size, [9, 3, 12, 1, 6])
+    junk = ids.copy()
+    pad = np.arange(ids.shape[1]) >= lengths[:, None]
+    junk[pad] = rng.integers(0, TINY.vocab_size, int(pad.sum()))
+    la, ga = loss_and_grads(params, ids, lengths, delta, labels)
+    lb, gb = loss_and_grads(params, junk, lengths, delta, labels)
+    assert la == lb
+    assert ga.keys() == gb.keys()
+    for name in ga:
+        np.testing.assert_array_equal(ga[name], gb[name], err_msg=name)
+    assert eval_loss(params, ids, lengths, delta, labels) == eval_loss(params, junk, lengths, delta, labels)
+
+    seqs = [row[:n] for row, n in zip(ids, lengths)]
+    positions = [np.flatnonzero(row[:n]) for row, n in zip(delta, lengths)]
+    clean = predict_masked(params, seqs, positions)
+    real_pad_rows = model.pad_rows
+
+    def junk_pad_rows(rows, fill=0, dtype=np.int64):
+        batch, lens = real_pad_rows(rows, fill, dtype)
+        slots = np.arange(batch.shape[1]) >= lens[:, None]
+        batch[slots] = rng.integers(0, TINY.vocab_size, int(slots.sum()))
+        return batch, lens
+
+    monkeypatch.setattr(model, "pad_rows", junk_pad_rows)
+    for a, b in zip(clean, predict_masked(params, seqs, positions)):
+        np.testing.assert_array_equal(a, b)
+
+
+def _relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("dims, lengths", [
+    # acceptance criterion 5's model and windows of at most 16 tokens
+    (dict(n_layers=2, n_heads=4, d_model=128, d_ff=512, max_seq=128, vocab_size=640),
+     [16, 1, 7, 15, 3, 9, 12, 5, 16, 2, 8, 11, 4, 14, 6, 10, 13, 7, 3, 9, 1, 15, 8, 12,
+      5, 11, 2, 6, 14, 10, 4, 13]),
+    # the golden checkpoint test's model
+    (dict(n_layers=1, n_heads=2, d_model=16, d_ff=32, max_seq=32, vocab_size=400),
+     [32, 5, 17, 28, 9, 1, 22, 13]),
+])
+def test_padded_batch_matches_unpadded_rows_within_tolerance(dims, lengths):
+    # A packed GEMM may round differently from one GEMM per sequence, so in
+    # float32 a padded batch matches its rows run one at a time only up to a
+    # tolerance: the loss within 1e-6 relative, and each gradient within 1e-5
+    # of its largest entry. The key bias is the exception: softmax ignores a
+    # shift shared by all keys, so its exact gradient is zero and only
+    # rounding noise is left to compare.
+    cfg = ModelConfig(**dims)
+    params = init_params(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    ids, lengths, delta, labels = masked_batch(rng, cfg.vocab_size, lengths)
+    loss, grads = loss_and_grads(params, ids, lengths, delta, labels)
+
+    want_loss, want = 0.0, {name: 0.0 for name in grads}
+    offsets = np.cumsum(delta.sum(axis=1)) - delta.sum(axis=1)
+    for i, n in enumerate(lengths):
+        t = int(delta[i].sum())
+        row_labels = labels[offsets[i]:offsets[i] + t]
+        row_loss, row_grads = loss_and_grads(params, ids[i:i + 1, :n], None, delta[i:i + 1, :n], row_labels)
+        want_loss += t / labels.size * row_loss
+        for name, g in row_grads.items():
+            want[name] = want[name] + t / labels.size * g.astype(np.float64)
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+    scale = max(float(np.abs(g).max()) for g in want.values())
+    for name, g in grads.items():
+        if name.endswith(".bk"):
+            assert np.abs(g).max() <= 1e-6 * scale, name
+        else:
+            assert _relative_error(g, want[name]) <= 1e-5, (name, _relative_error(g, want[name]))
+
+
+@pytest.mark.parametrize("case", ["lengths-broadcast", "lengths-zero", "lengths-negative",
+                                  "lengths-past-width", "lengths-float", "delta-shape",
+                                  "target-in-padding"])
+def test_bad_batch_layout_is_a_typed_error(case):
+    params = tiny_params()
+    ids = np.array([[4, 9, 2, 1], [7, 3, 1, 1]])
+    lengths = np.array([3, 2])
+    delta = np.zeros((2, 4), bool)
+    delta[0, 1] = delta[1, 0] = True
+    labels = np.array([9, 7])
+    if case == "lengths-broadcast":
+        lengths = np.array([3])
+    elif case == "lengths-zero":
+        lengths = np.array([3, 0])
+    elif case == "lengths-negative":
+        lengths = np.array([3, -1])
+    elif case == "lengths-past-width":
+        lengths = np.array([3, 9])
+    elif case == "lengths-float":
+        lengths = np.array([3.0, 2.0])
+    elif case == "delta-shape":
+        delta = delta[:, :3]
+    elif case == "target-in-padding":
+        delta[1, 2] = True
+        labels = np.array([9, 7, 5])
+    with pytest.raises(QtmineError):
+        loss_and_grads(params, ids, lengths, delta, labels)
+    with pytest.raises(QtmineError):
+        eval_loss(params, ids, lengths, delta, labels)
+
+
 def test_loss_rejects_degenerate_targets():
     params = tiny_params()
     ids = np.array([[1, 2, 3]])
@@ -403,6 +524,37 @@ def test_checkpoint_round_trip(tmp_path):
     out_a = forward(p, [1, 2, 3]).logits
     out_b = forward(q, [1, 2, 3]).logits
     np.testing.assert_array_equal(out_a, out_b)
+
+
+@pytest.mark.parametrize("failing_replace", [1, 2])
+def test_failed_checkpoint_save_leaves_no_partial_files(tmp_path, monkeypatch, failing_replace):
+    # The binary is replaced first and the sidecar last; whichever replace
+    # fails, the earlier sidecar survives, no temporary file is left, and the
+    # pair on disk still loads.
+    path = tmp_path / "model.ckpt"
+    older, newer = init_params(TINY, seed=1), init_params(TINY, seed=2)
+    save_checkpoint(older, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_replace:
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError):
+        save_checkpoint(newer, path)
+    monkeypatch.undo()
+    assert [str(c) for c in calls] == [str(path), str(path) + ".json"][:failing_replace]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.json"]
+    assert (tmp_path / "model.ckpt.json").read_bytes() == before["model.ckpt.json"]
+    expect = older if failing_replace == 1 else newer
+    if failing_replace == 1:
+        assert path.read_bytes() == before["model.ckpt"]
+    for (name, a), (_, b) in zip(load_checkpoint(path).named_tensors(), expect.named_tensors()):
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
