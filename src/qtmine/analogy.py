@@ -14,7 +14,6 @@ on them, and evaluate with those item ids excluded.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ from .corpus import AnalogyItem, group_by_category
 from .errors import EvalError
 from .qt import QuerySpec, masked_span_query, predict_queries, topk_tokens
 from .tokenizer import Vocab
-from .util import get_logger, kv
+from .util import csv_bytes, get_logger, kv, write_atomic
 
 logger = get_logger()
 
@@ -172,11 +171,10 @@ def compare_kshot(params_before: M.Params, params_after: M.Params, vocab: Vocab,
 
 
 def write_report_csv(report: AnalogyReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "subcategory", "n", "top1", "top5"])
-        for r in report.categories:
-            writer.writerow([r.category, r.subcategory, r.n, f"{r.top1:.6f}", f"{r.top5:.6f}"])
+    write_atomic(path, csv_bytes(
+        [["category", "subcategory", "n", "top1", "top5"]]
+        + [[r.category, r.subcategory, r.n, f"{r.top1:.6f}", f"{r.top5:.6f}"]
+           for r in report.categories]))
 
 
 def report_summary(report: AnalogyReport) -> dict:
@@ -195,4 +193,4 @@ def report_summary(report: AnalogyReport) -> dict:
 
 
 def write_report_json(report: AnalogyReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_summary(report), indent=2), encoding="utf-8")
+    write_atomic(path, json.dumps(report_summary(report), indent=2).encode("utf-8"))

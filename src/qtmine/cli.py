@@ -9,7 +9,6 @@ artifact byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -28,7 +27,7 @@ from .corpus import (DocumentSet, load_aliases, load_analogies, load_approvals,
                      load_corpus, load_trials)
 from .errors import DataFormatError, QtmineError
 from .tokenizer import load_vocab, save_vocab, train_bpe
-from .util import get_logger, kv, read_text, setup_logging
+from .util import csv_bytes, get_logger, kv, read_text, setup_logging, write_atomic
 
 logger = get_logger()
 
@@ -149,7 +148,7 @@ def cmd_kshot(args, cfg: RunConfig) -> int:
             "delta_top1": dict(comparison.delta_top1),
             "delta_top5": dict(comparison.delta_top5),
         }
-        Path(args.out_json).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        write_atomic(args.out_json, json.dumps(payload, indent=2).encode("utf-8"))
     if args.out:
         M.save_checkpoint(tuned, args.out)
     return 0
@@ -172,10 +171,7 @@ def cmd_rank(args, cfg: RunConfig) -> int:
                             template=args.template or cfg.template, target=target)
     rows = [(item.rank, item.candidate, f"{item.score.aggregate:.6f}") for item in ranked]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "candidate", "score"])
-            writer.writerows(rows)
+        write_atomic(args.out, csv_bytes([("rank", "candidate", "score"), *rows]))
     else:
         print("rank,candidate,score")
         for row in rows:
@@ -187,7 +183,7 @@ def cmd_rank(args, cfg: RunConfig) -> int:
              "per_position": list(item.score.per_position)}
             for item in ranked
         ]
-        Path(args.out_json).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        write_atomic(args.out_json, json.dumps(payload, indent=2).encode("utf-8"))
     return 0
 
 

@@ -13,6 +13,10 @@ class CheckpointError(QtmineError):
     """A checkpoint file is corrupt, truncated, or inconsistent with its sidecar."""
 
 
+class OutputError(QtmineError, OSError):
+    """An output file cannot be written. Also an OSError, as the failed write was."""
+
+
 class TemplateError(QtmineError):
     """A query template is unusable (no mask placeholder, missing slot, too long)."""
 

@@ -14,8 +14,6 @@ the metrics output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +28,7 @@ from .corpus import (ApprovalRecord, Document, DocumentSet, TrialRecord,
 from .errors import EvalError
 from .qt import DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, RankedItem, TargetSpec, rank_by_qt
 from .tokenizer import Vocab, train_bpe
-from .util import get_logger, kv, write_atomic
+from .util import csv_bytes, get_logger, kv, write_atomic
 
 logger = get_logger()
 
@@ -186,20 +184,13 @@ def fc_analysis(
     return runs, metrics
 
 
-def _csv_bytes(rows) -> bytes:
-    """`rows` as CSV (the csv module's default dialect), UTF-8 encoded."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue().encode("utf-8")
-
-
 def write_fc_outputs(runs: Sequence[FcRun], metrics: FcMetrics, outdir: str | Path) -> None:
     """One rank_<year>.csv per cutoff, fc_metrics.json, and a plot-data CSV, each
     written atomically."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for run in runs:
-        write_atomic(outdir / f"rank_{run.cutoff_year}.csv", _csv_bytes(
+        write_atomic(outdir / f"rank_{run.cutoff_year}.csv", csv_bytes(
             [["rank", "candidate", "score"]]
             + [[item.rank, item.candidate, f"{item.score.aggregate:.6f}"] for item in run.ranked]))
 
@@ -208,7 +199,7 @@ def write_fc_outputs(runs: Sequence[FcRun], metrics: FcMetrics, outdir: str | Pa
         approved = {drug for drug, _ in run.approvals_after}
         plot += [[run.cutoff_year, item.candidate, f"{item.score.aggregate:.6f}",
                   str(item.candidate in approved).lower()] for item in run.ranked]
-    write_atomic(outdir / "fc_plot.csv", _csv_bytes(plot))
+    write_atomic(outdir / "fc_plot.csv", csv_bytes(plot))
 
     payload = {
         "retrained": metrics.retrained,

@@ -26,7 +26,7 @@ from . import model as M
 from .errors import EvalError
 from .qt import QuerySpec, TargetSpec, predict_queries, score_probs
 from .tokenizer import Vocab, decode, encode
-from .util import get_logger, kv
+from .util import get_logger, kv, write_atomic
 
 logger = get_logger()
 
@@ -195,4 +195,4 @@ def parse_html_scores(html_text: str) -> list[float]:
 
 
 def write_html(doc: HighlightDoc, path: str | Path) -> None:
-    Path(path).write_text(render_html(doc), encoding="utf-8")
+    write_atomic(path, render_html(doc).encode("utf-8"))

@@ -12,27 +12,26 @@ Training and evaluation share one loss head (`_mlm_head`): the vocabulary
 projection and the cross-entropy run at the targeted positions only, and
 `loss_and_grads` adds the backward pass that `eval_loss` skips.
 
-Batches are padding-free for every row-wise layer. `_forward_core` gathers the
-real tokens of a right-padded (B, S) batch, by their row lengths, into one
-packed (N, d_model) block. The embedding sum, the layer norms, the Q/K/V/O
-projections, the FFN and GELU run on that block. Only attention sees the
-(B, S) layout: Q, K and V are scattered into zero-filled buffers, attention
-masks the padded keys, and its output is gathered back. The backward pass
-keeps the row-wise work packed too, with two exceptions that run on
-zero-filled (B·S, ·) copies: the weight gradients X.T @ dY, and the FFN input
-gradient df1 @ w1.T. Zero rows add nothing to those products, so they keep
-the bits of a padded batch. Packed, they would not: a weight gradient sums
-over fewer rows, which BLAS splits into other partial sums once B·S passes a
-few hundred, and a packed df1 @ w1.T changes the fixed-seed golden checkpoint.
-The packed products can also differ from one GEMM per sequence in the last
-bits where BLAS picks another kernel for the smaller per-sequence product
-(OpenBLAS does at d_model 128 for windows of 15 tokens or fewer);
-`tests/test_model.py` bounds that difference against unpadded rows.
+Batches are padding-free. The model runs on packed rows: the real tokens of
+every sequence back to back, (N, d_model), with the (B, S) layout of
+`loss_and_grads` and `eval_loss` only at their interface. The embedding sum,
+the layer norms, every projection, the FFN and GELU, and in the backward pass
+every weight gradient X.T @ dY and input gradient, run on the packed block.
+Attention runs once per group of equal-length sequences (`_groups`): the
+group's Q, K and V rows form a dense (g, n_heads, L, d_head) block, so the
+scores, the softmax and attn @ v need no mask, and the context rows go back to
+their packed places. Sequences of one length that lie next to each other are
+read as a view, not gathered. In float32 the packed products round
+differently from one product per sequence in the last bits (BLAS splits a sum
+over more rows into other partial sums, and may pick another kernel for a
+smaller product); `tests/test_model.py` bounds that difference against
+unpadded rows, and `tests/test_train.py` the fixed-seed loss curve.
 
 Scoring reads the vocabulary distribution only where a query asks for it:
-`predict_masked` pads many sequences into key-padding-masked batches and
-projects onto the vocabulary at the requested positions alone. `forward`
-serves the attention views and is the tests' per-sequence reference.
+`predict_masked` packs many sequences, sorted by length, into one batch and
+projects onto the vocabulary at the requested positions alone. `forward` runs
+one sequence, a single group, and serves the attention views; it is the
+tests' per-sequence reference.
 
 `tensor_shapes(config)` is the one list of tensor names and shapes. It is the
 checkpoint layout, and `Params.named_tensors`, `init_params`, `astype` and
@@ -54,10 +53,9 @@ from .errors import CheckpointError, DataFormatError, QtmineError
 from .util import write_atomic
 
 LN_EPS = 1e-5
-NEG_INF = -1e9
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-# Sequences per padded batch in predict_masked; bounds scoring memory for
+# Sequences per batch in predict_masked; bounds scoring memory for
 # large query sets (an analogy file, a long passage).
 PREDICT_BATCH = 64
 
@@ -212,14 +210,15 @@ def _ln_bwd(dy: np.ndarray, cache):
     return dx, dg, db
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, s, d = x.shape
-    return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _split_heads(rows: np.ndarray, g: int, n_heads: int) -> np.ndarray:
+    """Packed rows of g equal-length sequences (g·L, d) as (g, n_heads, L, d_head)."""
+    return rows.reshape(g, -1, n_heads, rows.shape[1] // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+    """(g, n_heads, L, d_head) back to packed (g·L, d) rows."""
+    g, h, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(g * n, h * dh)
 
 
 def _layout(ids: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -237,52 +236,54 @@ def _layout(ids: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.flatnonzero(np.arange(s) < lengths[:, None])
 
 
-def _padded(rows: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
-    """Packed (N, w) rows in a zero-filled (B·S, w) block, at their slots."""
-    out = np.zeros((n_slots, rows.shape[1]), dtype=rows.dtype)
-    out[slots] = rows
+def _groups(lengths: np.ndarray, starts: np.ndarray) -> list[tuple[int, int, slice | np.ndarray]]:
+    """(count g, length L, packed rows) for each distinct sequence length.
+
+    The rows of a group whose sequences lie next to each other form a slice,
+    so reading them is a view rather than a gather.
+    """
+    out = []
+    for n in np.unique(lengths).tolist():
+        seqs = np.flatnonzero(lengths == n)
+        if seqs[-1] - seqs[0] + 1 == seqs.size:
+            first = int(starts[seqs[0]])
+            rows = slice(first, first + seqs.size * n)
+        else:
+            rows = (starts[seqs][:, None] + np.arange(n)).reshape(-1)
+        out.append((seqs.size, n, rows))
     return out
 
 
-def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray, slots: np.ndarray,
-                  need_cache: bool):
-    """Shared forward pass over a (B, S) id batch laid out by `_layout`.
+def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray, need_cache: bool):
+    """Shared forward pass over sequences packed back to back.
 
-    Returns (hf, attn, cache): hf holds the final hidden rows of the real
-    tokens only, packed in row-major order (N, d_model). Every row-wise layer
-    runs on that packed block; only attention sees the padded (B, S) batch.
+    `tokens` (N,) holds the ids of B sequences of the given (B,) `lengths`, one
+    after the other. Returns (hf, attn, cache): hf the final hidden rows,
+    packed the same way (N, d_model), and attn, per layer, the attention maps
+    (g, n_heads, L, L) of each group of equal-length sequences (`_groups`).
     """
     cfg = params.config
-    b, s = ids.shape
-    if s > cfg.max_seq:
-        raise QtmineError(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
-    dtype = params.dtype
+    if lengths.max() > cfg.max_seq:
+        raise QtmineError(f"sequence length {lengths.max()} exceeds max_seq {cfg.max_seq}")
+    starts = np.cumsum(lengths) - lengths
+    groups = _groups(lengths, starts)
+    positions = np.arange(tokens.size) - np.repeat(starts, lengths)
+    h = params.emb[tokens] + params.pos[positions]
+    scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=params.dtype))
 
-    mask_add = None
-    if slots.size < b * s:
-        mask_add = np.where(np.arange(s)[None, :] < lengths[:, None], 0.0, NEG_INF)
-        mask_add = mask_add.astype(dtype)[:, None, None, :]  # (B,1,1,S)
-
-    tokens = ids.reshape(-1)[slots]
-    h = params.emb[tokens] + params.pos[slots % s]
-    scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=dtype))
-
-    def heads(rows):
-        return _split_heads(_padded(rows, slots, b * s).reshape(b, s, -1), cfg.n_heads)
-
-    cache = {"tokens": tokens, "slots": slots, "shape": (b, s), "layers": []} if need_cache else None
+    cache = {"tokens": tokens, "groups": groups, "layers": []} if need_cache else None
     attn_maps = []
     for layer in params.layers:
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
-        q = heads(u @ layer["wq"] + layer["bq"])
-        k = heads(u @ layer["wk"] + layer["bk"])
-        v = heads(u @ layer["wv"] + layer["bv"])
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if mask_add is not None:
-            scores = scores + mask_add
-        attn = stable_softmax(scores, axis=-1)
-        ctx = _merge_heads(attn @ v).reshape(b * s, -1)
-        o = ctx[slots] @ layer["wo"] + layer["bo"]
+        q, k, v = (u @ layer["w" + name] + layer["b" + name] for name in "qkv")
+        ctx = np.empty_like(u)
+        blocks = []
+        for g, n, rows in groups:
+            qg, kg, vg = (_split_heads(x[rows], g, cfg.n_heads) for x in (q, k, v))
+            attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale, axis=-1)
+            ctx[rows] = _merge_heads(attn @ vg)
+            blocks.append((qg, kg, vg, attn))
+        o = ctx @ layer["wo"] + layer["bo"]
         h_mid = h + o
 
         v_in, ln2_cache = _ln_fwd(h_mid, layer["ln2_g"], layer["ln2_b"])
@@ -292,10 +293,10 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray, slots: n
         f2 = f1 * cdf
         h_out = h_mid + f2 @ layer["w2"] + layer["b2"]
 
-        attn_maps.append(attn)
+        attn_maps.append([block[3] for block in blocks])
         if need_cache:
             cache["layers"].append({
-                "ln1": ln1_cache, "u": u, "q": q, "k": k, "v": v, "attn": attn,
+                "ln1": ln1_cache, "u": u, "blocks": blocks,
                 "ctx": ctx, "ln2": ln2_cache, "v_in": v_in, "f1": f1, "cdf": cdf, "f2": f2,
             })
         h = h_out
@@ -310,18 +311,11 @@ def _forward_core(params: Params, ids: np.ndarray, lengths: np.ndarray, slots: n
 def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate d(loss)/d(hf), packed (N, d_model), through the stack.
 
-    Returns grads for all tensors. Row-wise work stays packed. Each weight
-    gradient X.T @ dY, and the FFN input gradient df1 @ w1.T, runs on
-    zero-filled (B·S, ·) copies instead: the padded products keep the bits of
-    a padded batch, which packed ones do not on every BLAS.
+    Returns grads for all tensors. Every product runs on the packed rows,
+    except attention's, which run per group of equal-length sequences.
     """
     cfg = params.config
     grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
-    b, s = cache["shape"]
-    slots = cache["slots"]
-
-    def padded(rows):
-        return _padded(rows, slots, b * s)
 
     dh, dgf, dbf = _ln_bwd(dhf, cache["final_ln"])
     grads["final_ln_g"] += dgf
@@ -334,43 +328,40 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         prefix = f"layers.{i}."
 
         # Feed-forward sub-block (residual: h_out = h_mid + ffn(v_in)).
-        grads[prefix + "w2"] += padded(lcache["f2"]).T @ padded(dh)
+        grads[prefix + "w2"] += lcache["f2"].T @ dh
         grads[prefix + "b2"] += dh.sum(axis=0)
         df1 = (dh @ layer["w2"].T) * _gelu_grad(lcache["f1"], lcache["cdf"])
-        df1_padded = padded(df1)
-        grads[prefix + "w1"] += padded(lcache["v_in"]).T @ df1_padded
+        grads[prefix + "w1"] += lcache["v_in"].T @ df1
         grads[prefix + "b1"] += df1.sum(axis=0)
-        dv_in = (df1_padded.reshape(b, s, -1) @ layer["w1"].T).reshape(b * s, -1)[slots]
-        dh_mid, dg2, db2 = _ln_bwd(dv_in, lcache["ln2"])
+        dh_mid, dg2, db2 = _ln_bwd(df1 @ layer["w1"].T, lcache["ln2"])
         grads[prefix + "ln2_g"] += dg2
         grads[prefix + "ln2_b"] += db2
         dh_mid = dh_mid + dh
 
         # Attention sub-block (residual: h_mid = h_in + attn(u)).
-        grads[prefix + "wo"] += lcache["ctx"].T @ padded(dh_mid)
+        grads[prefix + "wo"] += lcache["ctx"].T @ dh_mid
         grads[prefix + "bo"] += dh_mid.sum(axis=0)
-        dctx = _split_heads(padded(dh_mid @ layer["wo"].T).reshape(b, s, -1), cfg.n_heads)
-        attn, q, k, v = lcache["attn"], lcache["q"], lcache["k"], lcache["v"]
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-        dq = (dscores @ k) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ q) * scale
-        u_padded = padded(lcache["u"])
-        du = []
+        dctx = dh_mid @ layer["wo"].T
+        dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
+        for (g, _, rows), (q, k, v, attn) in zip(cache["groups"], lcache["blocks"]):
+            dctx_g = _split_heads(dctx[rows], g, cfg.n_heads)
+            dattn = dctx_g @ v.transpose(0, 1, 3, 2)
+            dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
+            dq[rows] = _merge_heads((dscores @ k) * scale)
+            dk[rows] = _merge_heads((dscores.transpose(0, 1, 3, 2) @ q) * scale)
+            dv[rows] = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx_g)
         for name, dx in (("q", dq), ("k", dk), ("v", dv)):
-            dx = _merge_heads(dx).reshape(b * s, -1)
-            grads[prefix + "w" + name] += u_padded.T @ dx
-            dx = dx[slots]
+            grads[prefix + "w" + name] += lcache["u"].T @ dx
             grads[prefix + "b" + name] += dx.sum(axis=0)
-            du.append(dx @ layer["w" + name].T)
-        dh_in, dg1, db1 = _ln_bwd(du[0] + du[1] + du[2], lcache["ln1"])
+        du = dq @ layer["wq"].T + dk @ layer["wk"].T + dv @ layer["wv"].T
+        dh_in, dg1, db1 = _ln_bwd(du, lcache["ln1"])
         grads[prefix + "ln1_g"] += dg1
         grads[prefix + "ln1_b"] += db1
         dh = dh_in + dh_mid
 
     np.add.at(grads["emb"], cache["tokens"], dh)
-    grads["pos"][:s] += padded(dh).reshape(b, s, -1).sum(axis=0)
+    for g, n, rows in cache["groups"]:
+        grads["pos"][:n] += dh[rows].reshape(g, n, -1).sum(axis=0)
     return grads
 
 
@@ -400,11 +391,11 @@ def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
 
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
-    ids = _check_ids(params, seq).reshape(1, -1)
-    hidden, attn_maps, _ = _forward_core(params, ids, *_layout(ids, None), need_cache=False)
+    ids = _check_ids(params, seq)
+    hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), need_cache=False)
     logits = _vocab_logits(params, hidden)
-    attentions = np.stack([a[0] for a in attn_maps]) if collect_attention and attn_maps else np.zeros(
-        (0, params.config.n_heads, ids.shape[1], ids.shape[1]), dtype=params.dtype
+    attentions = np.stack([maps[0][0] for maps in attn_maps]) if collect_attention else np.zeros(
+        (0, params.config.n_heads, ids.size, ids.size), dtype=params.dtype
     )
     return ForwardOut(hidden=hidden, logits=logits, attentions=attentions)
 
@@ -422,11 +413,11 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
 
     Entry i of the result is a (len(positions[i]), vocab_size) array whose rows
     are the probability vectors at positions[i] of seqs[i]. Sequences are
-    sorted by (length, ids) and padded, PREDICT_BATCH at a time, into (B, S)
-    batches with a key-padding mask, so padding never changes a valid
-    position's output; the vocabulary head runs at the requested positions
-    only. Because the batches depend only on the set of sequences, each result
-    is the same whatever the input order.
+    sorted by (length, ids) and packed, PREDICT_BATCH at a time, back to back
+    with no padding, so equal-length sequences lie next to each other and
+    share one attention call; the vocabulary head runs at the requested
+    positions only. Because the batches depend only on the set of sequences,
+    each result is the same whatever the input order.
     """
     if len(seqs) != len(positions):
         raise QtmineError(f"{len(seqs)} sequences but {len(positions)} position lists")
@@ -440,8 +431,8 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     out: list[np.ndarray] = [np.empty(0)] * len(ids)
     for lo in range(0, len(order), PREDICT_BATCH):
         chunk = order[lo:lo + PREDICT_BATCH]
-        batch, lengths = pad_rows([ids[i] for i in chunk])
-        hf, _, _ = _forward_core(params, batch, *_layout(batch, lengths), need_cache=False)
+        lengths = np.array([ids[i].size for i in chunk])
+        hf, _, _ = _forward_core(params, np.concatenate([ids[i] for i in chunk]), lengths, need_cache=False)
         starts = np.cumsum(lengths) - lengths         # each sequence's first packed row
         counts = [pos[i].size for i in chunk]
         rows = np.repeat(starts, counts) + np.concatenate([pos[i] for i in chunk])
@@ -454,10 +445,11 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
 def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     """The masked-LM loss head shared by training and evaluation.
 
-    Runs the (B, S) batch through the stack, gathers the final hidden rows at
-    the `delta` positions and projects them onto the vocabulary. Returns the
-    per-target cross-entropy log Σexp(z − zmax) − (z_label − zmax) and, with
-    `need_grads`, the gradients of its mean (otherwise None).
+    Packs the real tokens of the (B, S) batch, runs them through the stack,
+    gathers the final hidden rows at the `delta` positions and projects them
+    onto the vocabulary. Returns the per-target cross-entropy
+    log Σexp(z − zmax) − (z_label − zmax) and, with `need_grads`, the
+    gradients of its mean (otherwise None).
     """
     ids = np.asarray(ids, dtype=np.int64)
     delta = np.asarray(delta, dtype=bool)
@@ -476,7 +468,7 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
             raise QtmineError("batch has no targeted positions")
         return np.zeros(0, dtype=params.dtype), None
 
-    hf, _, cache = _forward_core(params, ids, lengths, slots, need_cache=need_grads)
+    hf, _, cache = _forward_core(params, ids.reshape(-1)[slots], lengths, need_cache=need_grads)
     rows = hf[targets]                                # (T, d)
     z = _vocab_logits(params, rows)                   # (T, V)
     z -= z.max(axis=-1, keepdims=True)

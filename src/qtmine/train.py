@@ -15,7 +15,6 @@ seed reproduces the checkpoint bit for bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +24,7 @@ import numpy as np
 from . import model as M
 from .errors import DataFormatError, QtmineError
 from .tokenizer import Vocab, encode
-from .util import get_logger, kv
+from .util import csv_bytes, get_logger, kv, write_atomic
 
 logger = get_logger()
 
@@ -263,11 +262,9 @@ def train(
 
     final_ce = next((ce for _, _, ce in reversed(curve) if ce is not None), None)
     if curve_path is not None:
-        with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss", "eval_loss"])
-            for s, loss, ce in curve:
-                writer.writerow([s, f"{loss:.6f}", "" if ce is None else f"{ce:.6f}"])
+        write_atomic(curve_path, csv_bytes(
+            [["step", "loss", "eval_loss"]]
+            + [[s, f"{loss:.6f}", "" if ce is None else f"{ce:.6f}"] for s, loss, ce in curve]))
     return TrainResult(params=params, steps=run_steps, curve=curve, final_eval_ce=final_ce)
 
 

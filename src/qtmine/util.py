@@ -3,9 +3,11 @@ file writer, and a thread map no module uses.
 
 Every loader reads its file through `read_text`, so a missing, unreadable or
 non-UTF-8 file ends in a `DataFormatError` rather than an `OSError` or
-`UnicodeDecodeError`. Checkpoints, vocabularies and the fc outputs are written
-through `write_atomic`, so a reader sees either the old file or the new one,
-never a half-written one.
+`UnicodeDecodeError`. Every output file (checkpoints, vocabularies, the loss
+curve, rankings, analogy and k-shot reports, highlight HTML and the fc
+outputs) is written through `write_atomic`, so a reader sees either the old
+file or the new one, never a half-written one, and a write that fails ends in
+an `OutputError` naming the file.
 
 Scoring runs as batched matrix work (`model.predict_masked`), which BLAS
 already parallelises, so no part of the program calls `pmap` or reads
@@ -17,6 +19,9 @@ Delete them together with those references in a change to the benchmark.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import logging
 import os
 import secrets
@@ -25,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import DataFormatError, QtmineError
+from .errors import DataFormatError, OutputError, QtmineError
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -37,9 +42,22 @@ def get_logger(name: str = "qtmine") -> logging.Logger:
     return logging.getLogger(name)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A StreamHandler that writes to whatever `sys.stderr` is when it emits,
+    so a caller that swaps standard error, and closes the old one, still gets
+    every line."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def setup_logging(level: int = logging.INFO) -> None:
     """Route log lines as `LEVEL key=value ...` to standard error."""
-    handler = logging.StreamHandler(sys.stderr)
+    handler = _StderrHandler()
     handler.setFormatter(logging.Formatter(_LOG_FORMAT))
     root = logging.getLogger("qtmine")
     root.handlers[:] = [handler]
@@ -78,9 +96,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
     The bytes go to a temporary file in the same directory, which then
     replaces `path` through `os.replace`; if writing or replacing fails, the
-    temporary file is removed and `path` is left as it was. This guards
-    against an interrupted or failing process, not against power loss: the
-    data is not fsynced.
+    temporary file is removed and `path` is left as it was, and an OSError
+    (a missing directory, a full disk) becomes an `OutputError` naming `path`.
+    This guards against an interrupted or failing process, not against power
+    loss: the data is not fsynced.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
@@ -88,9 +107,19 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
+
+
+def csv_bytes(rows) -> bytes:
+    """`rows` as CSV (the csv module's default dialect, CRLF line ends), UTF-8 encoded."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def max_workers() -> int:

@@ -4,12 +4,15 @@ end-to-end run of every subcommand against a tiny trained model."""
 from __future__ import annotations
 
 import csv
+import io
 import json
+import logging
 import os
 import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +21,11 @@ import pytest
 import synth
 from qtmine.cli import _parse_years, build_parser, main
 from qtmine.config import RunConfig, apply_overrides, load_config
-from qtmine.errors import DataFormatError, QtmineError
+from qtmine.errors import DataFormatError, OutputError, QtmineError
 from qtmine.highlight import parse_html_scores
 from qtmine.model import load_checkpoint, save_checkpoint
 from qtmine.tokenizer import load_vocab
-from qtmine.util import kv, max_workers, pmap, write_atomic
+from qtmine.util import get_logger, kv, max_workers, pmap, setup_logging, write_atomic
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -201,6 +204,27 @@ def test_write_atomic_replaces_the_whole_file_or_nothing(tmp_path, monkeypatch):
         write_atomic(tmp_path / "new.bin", "not bytes")
     assert path.read_bytes() == b"second, longer"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_failed_write_is_an_output_error_naming_the_path(tmp_path):
+    (tmp_path / "a-file").write_bytes(b"")
+    for path in (tmp_path / "missing" / "out.json", tmp_path / "a-file" / "out.json"):
+        with pytest.raises(OutputError, match=re.escape(str(path))):
+            write_atomic(path, b"{}")
+    assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+
+
+def test_log_lines_reach_the_current_stderr_after_the_old_one_closes(capsys):
+    # In-process callers swap standard error and close the old stream; the
+    # handler must not keep writing to the closed one.
+    with redirect_stderr(io.StringIO()) as old:
+        setup_logging()
+    old.close()
+    get_logger().info(kv(event="after_close"))
+    err = capsys.readouterr().err
+    assert "Logging error" not in err
+    assert "INFO event=after_close" in err
+    logging.getLogger("qtmine").handlers.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +704,29 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))
     assert_one_typed_error(rc, err, error_type)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("rank", "--out"), ("rank", "--out-json"),
+    ("analogies", "--out-csv"), ("analogies", "--out-json"),
+    ("kshot", "--out-json"), ("kshot", "--out"),
+    ("highlight", "--out-html"), ("train", "--curve"),
+])
+def test_failed_output_write_is_a_typed_error(ws, tmp_path, command, flag):
+    args = {
+        "rank": [*model_args(ws), "--year", "2002"],
+        "analogies": model_args(ws),
+        "kshot": [*model_args(ws), "--k", "1", "--steps", "1"],
+        "highlight": [*model_args(ws), "--target-term", "influenza",
+                      "--passage", "tamivir treats influenza."],
+        "train": ["--vocab", ws["vocab"], "--out", str(tmp_path / "model.ckpt"),
+                  "--max-steps", "1"],
+    }[command]
+    out = tmp_path / "missing" / "output"
+    rc, err = run_cli_process(["--config", ws["config"], command, *args, flag, str(out)])
+    assert_one_typed_error(rc, err, "OutputError")
+    assert str(out) in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_corpus_line_that_is_not_utf8_is_skipped_and_counted(ws, tmp_path):
