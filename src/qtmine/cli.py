@@ -9,6 +9,7 @@ artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -94,13 +95,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
         cfg.train_config(),
         seed=np.random.SeedSequence([cfg.seed]),
         eval_texts=[d.text() for d in eval_docs],
-        curve_path=args.curve,
     )
     out = args.out or str(Path(cfg.checkpoint_dir) / "model.ckpt")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     M.save_checkpoint(result.params, out)
     logger.info(kv(event="checkpoint_saved", path=out, steps=result.steps,
                    eval_ce=result.final_eval_ce))
+    # Written after the checkpoint, so a curve path that cannot be written
+    # does not cost the trained model.
+    if args.curve:
+        write_atomic(args.curve, csv_bytes(
+            [["step", "loss", "eval_loss"]]
+            + [[s, f"{loss:.6f}", "" if ce is None else f"{ce:.6f}"] for s, loss, ce in result.curve]))
     return 0
 
 
@@ -169,13 +175,11 @@ def cmd_rank(args, cfg: RunConfig) -> int:
     target = Q.TargetSpec.from_phrase(vocab, args.target or cfg.target)
     ranked = F.rank_current(params, vocab, trials, args.year,
                             template=args.template or cfg.template, target=target)
-    rows = [(item.rank, item.candidate, f"{item.score.aggregate:.6f}") for item in ranked]
+    rows = F.rank_rows(ranked)
     if args.out:
-        write_atomic(args.out, csv_bytes([("rank", "candidate", "score"), *rows]))
+        write_atomic(args.out, csv_bytes(rows))
     else:
-        print("rank,candidate,score")
-        for row in rows:
-            print(",".join(str(c) for c in row))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     if args.out_json:
         payload = [
             {"rank": item.rank, "candidate": item.candidate,

@@ -26,6 +26,8 @@ log = get_logger(__name__)
 
 YEAR_MIN, YEAR_MAX = 1900, 2100
 SUBCATEGORIES = ("antiviral", "grammar")
+# Share of documents that `DocumentSet.split` puts in the test set.
+TEST_FRACTION = 0.20
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class Document:
 @dataclass
 class DocumentSet:
     documents: list[Document]
-    test_fraction: float = 0.20
     malformed_count: int = 0
 
     def __len__(self) -> int:
@@ -55,19 +56,19 @@ class DocumentSet:
     def __iter__(self):
         return iter(self.documents)
 
-    def split(self, seed: int, test_fraction: float | None = None) -> tuple["DocumentSet", "DocumentSet"]:
-        """Deterministic train/test split by hashing document id with the seed.
+    def split(self, seed: int) -> tuple["DocumentSet", "DocumentSet"]:
+        """Deterministic train/test split by hashing document id with the seed;
+        about TEST_FRACTION of the documents go to the test set.
 
         Membership depends only on (seed, id), so it is byte-identical across
         runs and stable under corpus reordering or insertion of new documents.
         """
-        frac = self.test_fraction if test_fraction is None else test_fraction
         train, test = [], []
         for doc in self.documents:
             digest = hashlib.sha256(f"{seed}:{doc.id}".encode("utf-8")).digest()
             u = int.from_bytes(digest[:8], "big") / 2**64
-            (test if u < frac else train).append(doc)
-        return DocumentSet(train, frac), DocumentSet(test, frac)
+            (test if u < TEST_FRACTION else train).append(doc)
+        return DocumentSet(train), DocumentSet(test)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def load_corpus(path: str | Path) -> DocumentSet:
 def filter_by_year(docs: DocumentSet, cutoff: int) -> DocumentSet:
     """Documents with publish_year <= cutoff, original order; undated ones drop out."""
     kept = [d for d in docs.documents if d.publish_year is not None and d.publish_year <= cutoff]
-    return DocumentSet(kept, docs.test_fraction)
+    return DocumentSet(kept)
 
 
 def load_aliases(path: str | Path) -> AliasMap:

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import model as M
 from . import train as T
-from .corpus import (ApprovalRecord, Document, DocumentSet, TrialRecord,
-                     candidates_at_year, filter_by_year)
+from .corpus import ApprovalRecord, DocumentSet, TrialRecord, candidates_at_year, filter_by_year
 from .errors import EvalError
 from .qt import DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, RankedItem, TargetSpec, rank_by_qt
 from .tokenizer import Vocab, train_bpe
@@ -84,12 +83,8 @@ def score_runs(runs: Sequence[FcRun], retrained: bool) -> FcMetrics:
                      n_scored_years=len(rows), retrained=retrained)
 
 
-def _as_docset(docs: DocumentSet | Sequence[Document]) -> DocumentSet:
-    return docs if isinstance(docs, DocumentSet) else DocumentSet(list(docs))
-
-
 def train_at_cutoff(
-    docs: DocumentSet | Sequence[Document],
+    docs: DocumentSet,
     cutoff: int,
     *,
     vocab_size: int,
@@ -98,7 +93,7 @@ def train_at_cutoff(
     base_seed: int,
 ) -> tuple[Vocab, M.Params]:
     """Train tokenizer and model from scratch on documents dated <= cutoff."""
-    visible = filter_by_year(_as_docset(docs), cutoff)
+    visible = filter_by_year(docs, cutoff)
     if not len(visible):
         raise EvalError(f"no dated documents at or before {cutoff}")
     texts = [d.text() for d in visible.documents]
@@ -119,7 +114,7 @@ def rank_current(params: M.Params, vocab: Vocab, trials: Sequence[TrialRecord], 
 
 
 def fc_analysis(
-    docs: DocumentSet | Sequence[Document],
+    docs: DocumentSet,
     trials: Sequence[TrialRecord],
     approvals: Sequence[ApprovalRecord],
     years: Sequence[int],
@@ -144,7 +139,6 @@ def fc_analysis(
     if not years:
         raise EvalError("no cutoff years given")
 
-    docs = _as_docset(docs)
     shared: tuple[Vocab, M.Params] | None = None
     if not retrain:
         # The weaker mode deliberately trains once on the full dated corpus.
@@ -184,15 +178,20 @@ def fc_analysis(
     return runs, metrics
 
 
+def rank_rows(ranked: Sequence[RankedItem]) -> list[list]:
+    """A ranking as rank-CSV rows: the `rank,candidate,score` header, then one
+    row per item with its score at six decimals."""
+    return [["rank", "candidate", "score"]] + [
+        [item.rank, item.candidate, f"{item.score.aggregate:.6f}"] for item in ranked]
+
+
 def write_fc_outputs(runs: Sequence[FcRun], metrics: FcMetrics, outdir: str | Path) -> None:
     """One rank_<year>.csv per cutoff, fc_metrics.json, and a plot-data CSV, each
     written atomically."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for run in runs:
-        write_atomic(outdir / f"rank_{run.cutoff_year}.csv", csv_bytes(
-            [["rank", "candidate", "score"]]
-            + [[item.rank, item.candidate, f"{item.score.aggregate:.6f}"] for item in run.ranked]))
+        write_atomic(outdir / f"rank_{run.cutoff_year}.csv", csv_bytes(rank_rows(run.ranked)))
 
     plot = [["year", "candidate", "score", "approved_later"]]
     for run in runs:

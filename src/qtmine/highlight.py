@@ -90,8 +90,6 @@ def qt_attention(params: M.Params, query: QuerySpec, target: TargetSpec) -> np.n
     the target ids; the affinities are softmaxed over the sequence, so the
     returned vector is nonnegative and sums to 1.
     """
-    if not target.ids:
-        raise EvalError("target set is empty")
     out = M.forward(params, list(query.ids), collect_attention=False)
     target_emb = params.emb[list(target.ids)].mean(axis=0)
     affinity = out.hidden @ target_emb
@@ -127,8 +125,7 @@ def _fit_sentence(vocab: Vocab, sentence: str, template: str, max_seq: int) -> Q
 
 
 def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term: str,
-                      template: str = DEFAULT_HIGHLIGHT_TEMPLATE,
-                      agg: str = "mean") -> HighlightDoc:
+                      template: str = DEFAULT_HIGHLIGHT_TEMPLATE) -> HighlightDoc:
     """Score each sentence against the target term and max-normalize.
 
     Whitespace-only sentences score zero; all other sentences are rendered
@@ -147,7 +144,7 @@ def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term:
     queries = [_fit_sentence(vocab, texts[i], template, max_seq) for i in scored]
     raw = [0.0] * len(spans)
     for i, probs in zip(scored, predict_queries(params, queries)):
-        raw[i] = score_probs(probs, target, agg=agg).aggregate
+        raw[i] = score_probs(probs, target).aggregate
     peak = max(raw)
     norm = [r / peak if peak > 0.0 else 0.0 for r in raw]
     sentences = tuple(

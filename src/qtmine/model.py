@@ -53,6 +53,8 @@ from .errors import CheckpointError, DataFormatError, QtmineError
 from .util import write_atomic
 
 LN_EPS = 1e-5
+# Standard deviation of the truncated normal that initialises every matrix.
+INIT_STDDEV = 0.02
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 # Sequences per batch in predict_masked; bounds scoring memory for
@@ -106,7 +108,7 @@ def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 @dataclass
 class Params:
-    """All model weights. Arrays share one dtype (float32 by default)."""
+    """All model weights. Arrays share one dtype (float32 unless `astype` changed it)."""
 
     config: ModelConfig
     emb: np.ndarray                      # (vocab_size, d_model), tied output projection
@@ -152,15 +154,15 @@ class ForwardOut:
     attentions: np.ndarray   # (n_layers, n_heads, S, S), rows sum to 1
 
 
-def _truncated_normal(rng: np.random.Generator, shape, stddev: float, dtype) -> np.ndarray:
-    """Normal(0, stddev) truncated at +-2 stddev, via the inverse CDF."""
+def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STDDEV) truncated at +-2 INIT_STDDEV, via the inverse CDF, in float32."""
     lo, hi = 0.0227501319481792, 0.9772498680518208  # Phi(-2), Phi(2)
     u = rng.uniform(lo, hi, size=shape)
-    return (ndtri(u) * stddev).astype(dtype)
+    return (ndtri(u) * INIT_STDDEV).astype(np.float32)
 
 
-def init_params(config: ModelConfig, seed: int, stddev: float = 0.02, dtype=np.float32) -> Params:
-    """Matrices from a truncated normal, biases zero, layer-norm gains one.
+def init_params(config: ModelConfig, seed: int) -> Params:
+    """Float32 matrices from a truncated normal, biases zero, layer-norm gains one.
 
     The matrices are drawn layer by layer (wq, wk, wv, wo, w1, w2), then emb,
     then pos; that order fixes the random stream, so it fixes every checkpoint.
@@ -169,17 +171,18 @@ def init_params(config: ModelConfig, seed: int, stddev: float = 0.02, dtype=np.f
     shapes = dict(tensor_shapes(config))
     matrices = sorted((name for name, shape in shapes.items() if len(shape) == 2),
                       key=lambda name: not name.startswith("layers."))
-    tensors = {name: _truncated_normal(rng, shapes[name], stddev, dtype) for name in matrices}
+    tensors = {name: _truncated_normal(rng, shapes[name]) for name in matrices}
     for name, shape in shapes.items():
         if name not in tensors:
-            tensors[name] = (np.ones if name.endswith("_g") else np.zeros)(shape, dtype=dtype)
+            tensors[name] = (np.ones if name.endswith("_g") else np.zeros)(shape, dtype=np.float32)
     return Params.from_named(config, tensors)
 
 
-def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def stable_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with the maximum subtracted first."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -223,16 +226,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _layout(ids: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     """A (B, S) batch's validated (B,) lengths and the flat row-major indices
-    of its real tokens; `lengths=None` means every slot is a real token."""
+    of its real tokens."""
     b, s = ids.shape
-    if lengths is None:
-        lengths = np.full(b, s, dtype=np.int64)
-    else:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer):
-            raise QtmineError(f"lengths must be {b} integers for a batch of {b} rows, got {lengths!r}")
-        if lengths.min() < 1 or lengths.max() > s:
-            raise QtmineError(f"lengths {lengths.tolist()} outside 1..{s}")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer):
+        raise QtmineError(f"lengths must be {b} integers for a batch of {b} rows, got {lengths!r}")
+    if lengths.min() < 1 or lengths.max() > s:
+        raise QtmineError(f"lengths {lengths.tolist()} outside 1..{s}")
     return lengths, np.flatnonzero(np.arange(s) < lengths[:, None])
 
 
@@ -280,7 +280,7 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray, need_
         blocks = []
         for g, n, rows in groups:
             qg, kg, vg = (_split_heads(x[rows], g, cfg.n_heads) for x in (q, k, v))
-            attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale, axis=-1)
+            attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale)
             ctx[rows] = _merge_heads(attn @ vg)
             blocks.append((qg, kg, vg, attn))
         o = ctx @ layer["wo"] + layer["bo"]
@@ -493,24 +493,23 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
 def loss_and_grads(
     params: Params,
     ids: np.ndarray,
-    lengths: np.ndarray | None,
+    lengths: np.ndarray,
     delta: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean masked cross-entropy over targeted positions, with full gradients.
 
-    `ids` is the corrupted (B, S) batch, right-padded to the (B,) `lengths`
-    (None: no padding), `delta` a boolean (B, S) targeting mask, and `labels`
-    the original token ids at the targeted positions, taken in row-major
-    order. Logits are only formed at targeted positions; a batch with none, a
-    length outside 1..S, a mask of another shape or a target in the padding
-    is an error.
+    `ids` is the corrupted (B, S) batch, right-padded to the (B,) `lengths`,
+    `delta` a boolean (B, S) targeting mask, and `labels` the original token
+    ids at the targeted positions, taken in row-major order. Logits are only
+    formed at targeted positions; a batch with none, a length outside 1..S, a
+    mask of another shape or a target in the padding is an error.
     """
     ce, grads = _mlm_head(params, ids, lengths, delta, labels, need_grads=True)
     return float(ce.mean()), grads
 
 
-def eval_loss(params: Params, ids: np.ndarray, lengths: np.ndarray | None,
+def eval_loss(params: Params, ids: np.ndarray, lengths: np.ndarray,
               delta: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
     """Summed masked cross-entropy without gradients; returns (ce_sum, count)."""
     ce, _ = _mlm_head(params, ids, lengths, delta, labels, need_grads=False)

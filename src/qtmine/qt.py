@@ -72,10 +72,15 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target token ids: ordered, deduplicated, never special."""
+    """Target token ids: ordered, deduplicated, never special, never empty."""
 
     phrase: str | None
     ids: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.ids:
+            raise EvalError("target set is empty" if self.phrase is None
+                            else f"target phrase {self.phrase!r} tokenizes to nothing")
 
     @classmethod
     def from_phrase(cls, vocab: Vocab, phrase: str) -> "TargetSpec":
@@ -83,8 +88,6 @@ class TargetSpec:
         for t in encode(vocab, phrase):
             if t not in vocab.special_ids:
                 seen.setdefault(t)
-        if not seen:
-            raise EvalError(f"target phrase {phrase!r} tokenizes to nothing")
         return cls(phrase=phrase, ids=tuple(seen))
 
     @classmethod
@@ -96,8 +99,6 @@ class TargetSpec:
             if t in vocab.special_ids:
                 raise EvalError(f"target id {t} is a special token")
             seen.setdefault(int(t))
-        if not seen:
-            raise EvalError("target id list is empty")
         return cls(phrase=None, ids=tuple(seen))
 
 
@@ -201,8 +202,6 @@ def score_probs(probs: Sequence[np.ndarray], target: TargetSpec,
     as P_k[y_k] renormalized over the target set; this stricter reading
     requires as many masked positions as target ids.
     """
-    if not target.ids:
-        raise EvalError("target set is empty")
     if mode == "mass":
         per = [target_mass(p, target) for p in probs]
     elif mode == "conditional":
@@ -228,8 +227,7 @@ def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
 
 def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
                template: str = DEFAULT_RANK_TEMPLATE,
-               target: TargetSpec | None = None,
-               agg: str = "mean", mode: str = "mass") -> list[RankedItem]:
+               target: TargetSpec | None = None) -> list[RankedItem]:
     """Score every candidate through the template and sort best-first.
 
     Ties are broken lexicographically by candidate name, so the output is
@@ -244,7 +242,7 @@ def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
         return []
 
     queries = [QuerySpec.render(vocab, template, drug=name) for name in candidates]
-    scored = [(name, score_probs(probs, target, agg=agg, mode=mode))
+    scored = [(name, score_probs(probs, target))
               for name, probs in zip(candidates, predict_queries(params, queries))]
     scored.sort(key=lambda item: (-item[1].aggregate, item[0]))
     return [RankedItem(rank=i + 1, candidate=name, score=s) for i, (name, s) in enumerate(scored)]
@@ -271,27 +269,23 @@ def permuted_analogy(params: M.Params, vocab: Vocab, q_term: str, t_term: str,
 
 def combination_score(params: M.Params, vocab: Vocab, drugs: Sequence[str],
                       template: str = DEFAULT_RANK_TEMPLATE,
-                      target: TargetSpec | None = None,
-                      agg: str = "mean", mode: str = "mass") -> QtScore:
+                      target: TargetSpec | None = None) -> QtScore:
     """Score a drug combination by substituting "a and b [and ...]"."""
     if len(drugs) < 2:
         raise EvalError(f"combination needs at least 2 drugs, got {len(drugs)}")
     if target is None:
         target = TargetSpec.from_phrase(vocab, DEFAULT_TARGET_PHRASE)
     query = QuerySpec.render(vocab, template, drug=" and ".join(drugs))
-    return qt_score(params, query, target, agg=agg, mode=mode)
+    return qt_score(params, query, target)
 
 
 def side_effect_score(params: M.Params, vocab: Vocab, drug: str,
                       negative_target: TargetSpec,
-                      template: str = DEFAULT_RANK_TEMPLATE,
-                      agg: str = "mean", mode: str = "mass") -> QtScore:
+                      template: str = DEFAULT_RANK_TEMPLATE) -> QtScore:
     """Score a drug against an adverse-effect phrase.
 
     Kept separate from efficacy scoring: positive and negative targets are
     never merged into one set.
     """
-    if not negative_target.ids:
-        raise EvalError("negative target set is empty")
     query = QuerySpec.render(vocab, template, drug=drug)
-    return qt_score(params, query, negative_target, agg=agg, mode=mode)
+    return qt_score(params, query, negative_target)

@@ -31,6 +31,8 @@ log = get_logger(__name__)
 N_BYTES = 256
 SPECIAL_NAMES = ("mask", "pad", "bos", "eos", "unk")
 SPECIAL_MARKERS = {name: f"<{name}>".encode("ascii") for name in SPECIAL_NAMES}
+# Fewest occurrences of an adjacent pair for `train_bpe` to merge it.
+MIN_PAIR_COUNT = 2
 
 TokenSeq = list[int]
 
@@ -126,11 +128,11 @@ def _empty_vocab() -> Vocab:
     return Vocab(tokens=tokens, merges=[], special=special)
 
 
-def train_bpe(texts: Sequence[str], vocab_size: int, min_pair_count: int = 2) -> Vocab:
+def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     """Learn BPE merges by greedy highest-frequency pair merging.
 
     Merging stops when `vocab_size` tokens exist or no adjacent pair occurs at
-    least `min_pair_count` times. Frequency ties break by the lexicographic
+    least MIN_PAIR_COUNT times. Frequency ties break by the lexicographic
     byte order of the merged pair (then of the left token), so retraining on
     identical input is byte-identical. Pairs never span document boundaries.
     """
@@ -174,7 +176,7 @@ def train_bpe(texts: Sequence[str], vocab_size: int, min_pair_count: int = 2) ->
 
     def push(pair: tuple[int, int]) -> None:
         c = counts.get(pair, 0)
-        if c >= min_pair_count:
+        if c >= MIN_PAIR_COUNT:
             a, b = pair
             heapq.heappush(heap, (-c, tokens[a] + tokens[b], tokens[a], pair))
 

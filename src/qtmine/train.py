@@ -15,8 +15,8 @@ seed reproduces the checkpoint bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,14 +24,19 @@ import numpy as np
 from . import model as M
 from .errors import DataFormatError, QtmineError
 from .tokenizer import Vocab, encode
-from .util import csv_bytes, get_logger, kv, write_atomic
+from .util import get_logger, kv
 
 logger = get_logger()
 
 MASK_RATE = 0.135
 MASK_FRAC = 0.90
-RANDOM_FRAC = 0.10
 N_MASK_COPIES = 10
+# Adam's moment decay rates and denominator epsilon.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-6
+# Steps between `event=train` log lines.
+LOG_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -41,22 +46,18 @@ class TrainConfig:
     n_epochs: int = N_MASK_COPIES
     max_steps: int | None = None
     warmup_frac: float = 0.06
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-6
     mask_rate: float = MASK_RATE
-    mask_frac: float = MASK_FRAC
-    random_frac: float = RANDOM_FRAC
     eval_every: int = 100
-    log_every: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.mask_rate < 1.0:
             raise DataFormatError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        if abs(self.mask_frac + self.random_frac - 1.0) > 1e-9:
-            raise DataFormatError("mask_frac and random_frac must sum to 1")
-        if self.lr <= 0 or self.batch_size <= 0 or self.n_epochs <= 0:
-            raise DataFormatError("lr, batch_size and n_epochs must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise DataFormatError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise DataFormatError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
+        if self.batch_size <= 0 or self.n_epochs <= 0:
+            raise DataFormatError("batch_size and n_epochs must be positive")
         if self.max_steps is not None and self.max_steps < 1:
             raise DataFormatError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -114,7 +115,7 @@ def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
     """Corrupt one window. Returns (corrupted, delta, labels).
 
     Each non-special position is targeted independently with probability
-    mask_rate; a targeted token becomes <mask> with probability mask_frac and
+    mask_rate; a targeted token becomes <mask> with probability MASK_FRAC and
     otherwise is replaced by a random non-special token different from the
     original (a colliding draw is shifted to the next non-special id).
     """
@@ -124,7 +125,7 @@ def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
     idx = np.flatnonzero(delta)
     labels = row[idx].copy()
     if idx.size:
-        to_mask = rng.random(idx.size) < cfg.mask_frac
+        to_mask = rng.random(idx.size) < MASK_FRAC
         corrupted[idx[to_mask]] = vocab.mask_id
         rand_idx = idx[~to_mask]
         if rand_idx.size:
@@ -147,27 +148,25 @@ def mask_batch(rng: np.random.Generator, rows: Sequence[np.ndarray], vocab: Voca
 
 
 class AdamState:
-    def __init__(self, params: M.Params, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: M.Params):
         self.t = 0
         self.m = {name: np.zeros_like(a) for name, a in params.named_tensors()}
         self.v = {name: np.zeros_like(a) for name, a in params.named_tensors()}
 
     def update(self, params: M.Params, grads: dict[str, np.ndarray], lr: float) -> None:
         """One in-place Adam step with bias correction."""
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, arr in params.named_tensors():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            arr -= (lr / bc1) * m / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            arr -= (lr / bc1) * m / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _eval_batches(rng: np.random.Generator, windows: list[np.ndarray], vocab: Vocab,
@@ -214,7 +213,6 @@ def train(
     cfg: TrainConfig,
     seed: int | np.random.SeedSequence,
     eval_texts: Sequence[str] = (),
-    curve_path: str | Path | None = None,
 ) -> TrainResult:
     """Run MLM training in place on `params` and return the result.
 
@@ -241,7 +239,7 @@ def train(
     logger.info(kv(event="train_start", windows=len(windows), steps=run_steps,
                    per_epoch=per_epoch, batch_size=cfg.batch_size, lr=cfg.lr))
 
-    adam = AdamState(params, cfg)
+    adam = AdamState(params)
     curve: list[tuple[int, float, float | None]] = []
     for step in range(1, run_steps + 1):
         start = (step - 1) % per_epoch * cfg.batch_size
@@ -257,25 +255,20 @@ def train(
             ce = eval_ce(params, eval_batches)
             logger.info(kv(event="eval", step=step, eval_ce=ce))
         curve.append((step, loss, ce))
-        if step % cfg.log_every == 0 or step == run_steps:
+        if step % LOG_EVERY == 0 or step == run_steps:
             logger.info(kv(event="train", step=step, loss=loss, lr=lr))
 
     final_ce = next((ce for _, _, ce in reversed(curve) if ce is not None), None)
-    if curve_path is not None:
-        write_atomic(curve_path, csv_bytes(
-            [["step", "loss", "eval_loss"]]
-            + [[s, f"{loss:.6f}", "" if ce is None else f"{ce:.6f}"] for s, loss, ce in curve]))
     return TrainResult(params=params, steps=run_steps, curve=curve, final_eval_ce=final_ce)
 
 
-def perplexity(params: M.Params, vocab: Vocab, texts: Sequence[str],
-               seed: int = 0, cfg: TrainConfig | None = None) -> float:
-    """exp(mean masked cross-entropy) under a deterministic seeded masking."""
-    cfg = cfg or TrainConfig()
+def perplexity(params: M.Params, vocab: Vocab, texts: Sequence[str], seed: int = 0) -> float:
+    """exp(mean masked cross-entropy) under a deterministic seeded masking
+    (the default `TrainConfig`'s batch size and mask rate)."""
     windows = build_windows(vocab, texts, params.config.max_seq)
     if not windows:
         raise QtmineError("perplexity needs at least one non-empty document")
-    batches = _eval_batches(np.random.default_rng(seed), windows, vocab, cfg)
+    batches = _eval_batches(np.random.default_rng(seed), windows, vocab, TrainConfig())
     ce = eval_ce(params, batches)
     if ce is None:
         raise QtmineError("masking targeted no positions; corpus too small")
@@ -302,7 +295,7 @@ def kshot_finetune(
     if not windows:
         raise QtmineError("no trainable windows in fine-tuning texts")
     rng = np.random.default_rng(seed)
-    adam = AdamState(tuned, cfg)
+    adam = AdamState(tuned)
     for step in range(1, n_steps + 1):
         pick = rng.integers(0, len(windows), size=min(cfg.batch_size, len(windows)))
         batch = mask_batch(rng, [windows[i] for i in pick], vocab, cfg)

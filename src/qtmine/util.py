@@ -55,13 +55,13 @@ class _StderrHandler(logging.StreamHandler):
         return sys.stderr
 
 
-def setup_logging(level: int = logging.INFO) -> None:
-    """Route log lines as `LEVEL key=value ...` to standard error."""
+def setup_logging() -> None:
+    """Route log lines of level INFO and above as `LEVEL key=value ...` to standard error."""
     handler = _StderrHandler()
     handler.setFormatter(logging.Formatter(_LOG_FORMAT))
     root = logging.getLogger("qtmine")
     root.handlers[:] = [handler]
-    root.setLevel(level)
+    root.setLevel(logging.INFO)
     root.propagate = False
 
 

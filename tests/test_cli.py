@@ -327,7 +327,7 @@ def test_train_artifacts(ws):
     assert rows[0] == ["step", "loss", "eval_loss"]
     steps = [int(r[0]) for r in rows[1:]]
     assert 1 <= len(steps) <= 12
-    assert steps == sorted(steps)
+    assert steps == list(range(1, len(steps) + 1))
     for row in rows[1:]:
         float(row[1])
 
@@ -408,6 +408,19 @@ def test_rank_command_prints_csv_without_out(ws, capsys):
     assert "rank,candidate,score" in out
     assert "tamivir" in out and "gemavir" in out
     assert "zanavir" not in out  # first trialed in 2002
+
+
+def test_rank_stdout_is_the_csv_of_the_out_file(ws, tmp_path, capsys):
+    trials = tmp_path / "trials.csv"
+    trials.write_text('trial_id,year,drugs,condition\n'
+                      'T1,2001,"tamivir, extended",flu\nT2,2001,gemavir,flu\n', encoding="utf-8")
+    args = ["--config", ws["config"], "--trials", str(trials), "rank", *model_args(ws), "--year", "2001"]
+    assert main(args) == 0
+    printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert main([*args, "--out", str(tmp_path / "rank.csv")]) == 0
+    with open(tmp_path / "rank.csv", newline="", encoding="utf-8") as fh:
+        assert printed == list(csv.reader(fh))
+    assert sorted(row[1] for row in printed[1:]) == ["gemavir", "tamivir, extended"]
 
 
 def test_analogies_command(ws, tmp_path, capsys):
@@ -635,7 +648,7 @@ def _config_with(ws, tmp_path, **changes) -> str:
 def _bad_input_args(ws, tmp_path, case) -> list[str]:
     """CLI arguments that feed one bad input; see test_bad_input_is_a_typed_error."""
     config = ws["config"]
-    train = ["train", "--vocab", ws["vocab"], "--out", str(tmp_path / "model.ckpt")]
+    train = ["train", "--vocab", ws["vocab"], "--out", str(tmp_path / "out" / "model.ckpt")]
     if case == "corpus-is-a-directory":
         return ["--config", config, "--corpus", str(tmp_path), "train-tokenizer",
                 "--out", str(tmp_path / "vocab.json")]
@@ -671,7 +684,16 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return ["--config", config, "--seed", "-1", *train]
     if case == "seed-negative-config":
         return ["--config", _config_with(ws, tmp_path, seed=-1), *train]
-    kshot = ["--config", config, "kshot", *model_args(ws), "--k", "1"]
+    if case == "train-lr-nan":
+        return ["--config", config, *train, "--lr", "nan"]
+    if case == "train-lr-inf":
+        return ["--config", config, *train, "--lr", "inf"]
+    warmup = {"warmup-frac-nan": float("nan"), "warmup-frac-infinity": float("inf"),
+              "warmup-frac-negative": -0.5, "warmup-frac-above-one": 1.5}
+    if case in warmup:
+        return ["--config", _config_with(ws, tmp_path, warmup_frac=warmup[case]), *train]
+    kshot = ["--config", config, "kshot", *model_args(ws), "--k", "1",
+             "--out", str(tmp_path / "out" / "tuned.ckpt")]
     if case == "kshot-steps-zero":
         return [*kshot, "--steps", "0"]
     if case == "kshot-steps-negative":
@@ -680,6 +702,8 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return [*kshot, "--steps", "2", "--lr", "0"]
     if case == "kshot-lr-negative":
         return [*kshot, "--steps", "2", "--lr", "-1"]
+    if case == "kshot-lr-nan":
+        return [*kshot, "--steps", "2", "--lr", "nan"]
     raise AssertionError(case)
 
 
@@ -700,10 +724,18 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("kshot-steps-negative", "DataFormatError"),
     ("kshot-lr-zero", "DataFormatError"),
     ("kshot-lr-negative", "DataFormatError"),
+    ("kshot-lr-nan", "DataFormatError"),
+    ("train-lr-nan", "DataFormatError"),
+    ("train-lr-inf", "DataFormatError"),
+    ("warmup-frac-nan", "DataFormatError"),
+    ("warmup-frac-infinity", "DataFormatError"),
+    ("warmup-frac-negative", "DataFormatError"),
+    ("warmup-frac-above-one", "DataFormatError"),
 ])
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))
     assert_one_typed_error(rc, err, error_type)
+    assert not (tmp_path / "out").exists()  # no checkpoint written
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -727,6 +759,16 @@ def test_failed_output_write_is_a_typed_error(ws, tmp_path, command, flag):
     assert_one_typed_error(rc, err, "OutputError")
     assert str(out) in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_curve_keeps_the_trained_checkpoint(ws, tmp_path):
+    ckpt = tmp_path / "run" / "model.ckpt"
+    curve = tmp_path / "missing" / "curve.csv"
+    rc, err = run_cli_process(["--config", ws["config"], "train", "--vocab", ws["vocab"],
+                               "--out", str(ckpt), "--curve", str(curve), "--max-steps", "2"])
+    assert_one_typed_error(rc, err, "OutputError")
+    assert str(curve) in err
+    assert load_checkpoint(ckpt).config.vocab_size == load_vocab(ws["vocab"]).size
 
 
 def test_corpus_line_that_is_not_utf8_is_skipped_and_counted(ws, tmp_path):

@@ -135,7 +135,7 @@ def test_split_is_deterministic_and_partitions():
     assert (tr1, te1) == (tr2, te2)
     assert tr1 | te1 == {f"d{i}" for i in range(200)}
     assert not (tr1 & te1)
-    # roughly the requested fraction at the default 0.20
+    # roughly TEST_FRACTION (0.20)
     assert 15 <= len(te1) <= 70
     tr3, _ = split_ids(docs, seed=2)
     assert tr3 != tr1
@@ -150,14 +150,6 @@ def test_split_membership_stable_under_reordering_and_insertion():
     grown = DocumentSet(base + [Document("new-doc", "t", "", "b")])
     _, te_grown = split_ids(grown, seed=9)
     assert te_grown - {"new-doc"} == te_before
-
-
-def test_split_fraction_override():
-    docs = DocumentSet([Document(f"d{i}", "t", "", "b") for i in range(100)])
-    train, test = docs.split(seed=3, test_fraction=0.0)
-    assert len(test) == 0 and len(train) == 100
-    train, test = docs.split(seed=3, test_fraction=1.0)
-    assert len(train) == 0 and len(test) == 100
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from qtmine import model
 from qtmine.errors import CheckpointError, DataFormatError, QtmineError
 from qtmine.model import (
+    INIT_STDDEV,
     LN_EPS,
     ModelConfig,
     forward,
@@ -356,7 +357,8 @@ def test_padded_batch_matches_unpadded_rows_within_tolerance(dims, lengths):
     for i, n in enumerate(lengths):
         t = int(delta[i].sum())
         row_labels = labels[offsets[i]:offsets[i] + t]
-        row_loss, row_grads = loss_and_grads(params, ids[i:i + 1, :n], None, delta[i:i + 1, :n], row_labels)
+        row_loss, row_grads = loss_and_grads(params, ids[i:i + 1, :n], np.array([n]),
+                                             delta[i:i + 1, :n], row_labels)
         want_loss += t / labels.size * row_loss
         for name, g in row_grads.items():
             want[name] = want[name] + t / labels.size * g.astype(np.float64)
@@ -402,19 +404,19 @@ def test_bad_batch_layout_is_a_typed_error(case):
 
 def test_loss_rejects_degenerate_targets():
     params = tiny_params()
-    ids = np.array([[1, 2, 3]])
+    ids, lengths = np.array([[1, 2, 3]]), np.array([3])
     with pytest.raises(QtmineError):
-        loss_and_grads(params, ids, None, np.zeros((1, 3), bool), np.array([], dtype=int))
+        loss_and_grads(params, ids, lengths, np.zeros((1, 3), bool), np.array([], dtype=int))
     delta = np.array([[True, False, True]])
     with pytest.raises(QtmineError):
-        loss_and_grads(params, ids, None, delta, np.array([1]))
+        loss_and_grads(params, ids, lengths, delta, np.array([1]))
     with pytest.raises(QtmineError):
-        eval_loss(params, ids, None, delta, np.array([1]))
+        eval_loss(params, ids, lengths, delta, np.array([1]))
 
 
 def test_eval_loss_empty_targets_is_zero():
     params = tiny_params()
-    ce, n = eval_loss(params, np.array([[1, 2]]), None, np.zeros((1, 2), bool), np.array([], int))
+    ce, n = eval_loss(params, np.array([[1, 2]]), np.array([2]), np.zeros((1, 2), bool), np.array([], int))
     assert (ce, n) == (0.0, 0)
 
 
@@ -462,9 +464,10 @@ def test_init_is_deterministic_and_seed_sensitive():
 
 def test_init_distribution_shape():
     big = ModelConfig(n_layers=1, n_heads=2, d_model=64, d_ff=128, max_seq=16, vocab_size=500)
-    p = init_params(big, seed=0, stddev=0.02)
-    assert np.abs(p.emb).max() <= 0.04 + 1e-6  # truncated at two stddev
-    assert 0.015 < p.emb.std() < 0.025
+    p = init_params(big, seed=0)
+    assert p.dtype == np.float32
+    assert np.abs(p.emb).max() <= 2 * INIT_STDDEV + 1e-6  # truncated at two stddev
+    assert 0.75 * INIT_STDDEV < p.emb.std() < 1.25 * INIT_STDDEV
     assert not p.layers[0]["bq"].any()
     assert np.all(p.layers[0]["ln1_g"] == 1.0)
     assert not p.out_bias.any()

@@ -131,6 +131,12 @@ def test_target_from_ids_validates(tiny_setup):
         TargetSpec.from_ids(vocab, [])
 
 
+def test_target_set_is_never_empty():
+    for phrase in (None, "efficacy"):
+        with pytest.raises(EvalError):
+            TargetSpec(phrase=phrase, ids=())
+
+
 # ---------------------------------------------------------------------------
 # Scoring identities
 

@@ -11,6 +11,7 @@ import pytest
 import synth
 from qtmine.errors import DataFormatError
 from qtmine.tokenizer import (
+    MIN_PAIR_COUNT,
     N_BYTES,
     SPECIAL_MARKERS,
     SPECIAL_NAMES,
@@ -32,7 +33,7 @@ SMALL_CORPUS = [
 ]
 
 
-def naive_train(texts, vocab_size, min_pair_count=2):
+def naive_train(texts, vocab_size):
     """Reference BPE trainer: full recount each round, explicit tie-break."""
     tokens = [bytes([b]) for b in range(256)] + [SPECIAL_MARKERS[n] for n in SPECIAL_NAMES]
     docs = [list(t.encode("utf-8")) for t in texts if t.encode("utf-8")]
@@ -42,7 +43,7 @@ def naive_train(texts, vocab_size, min_pair_count=2):
         for doc in docs:
             for pair in zip(doc, doc[1:]):
                 counts[pair] = counts.get(pair, 0) + 1
-        eligible = {p: c for p, c in counts.items() if c >= min_pair_count}
+        eligible = {p: c for p, c in counts.items() if c >= MIN_PAIR_COUNT}
         if not eligible:
             break
         best = min(
@@ -268,7 +269,7 @@ def test_train_rejects_tiny_vocab_size():
 
 
 def test_min_pair_count_threshold():
-    # A pair seen once is not merged at the default threshold of two.
+    # A pair seen once is not merged at MIN_PAIR_COUNT, two; a pair seen twice is.
     vocab = train_bpe(["xy"], 300)
     assert vocab.merges == []
     vocab2 = train_bpe(["xy", "xy"], 300)
