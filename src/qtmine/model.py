@@ -12,6 +12,15 @@ Training and evaluation share one loss head (`_mlm_head`): the vocabulary
 projection and the cross-entropy run at the targeted positions only, and
 `loss_and_grads` adds the backward pass that `eval_loss` skips.
 
+The last layer runs only at the rows its caller reads (`out_rows` of
+`_forward_core`): the targeted rows for the loss head, the requested
+positions for `predict_masked`, every row for `forward`. Its attention still
+runs on every row, because every row is a key and a value; after attention,
+the output projection, the residual, the second layer norm, the FFN and the
+final layer norm run on the read rows alone, and so does their backward pass.
+No row dropped there feeds the loss or a probability, so the maths is that of
+the full pass; in float32 only the rounding of the smaller products differs.
+
 Batches are padding-free. The model runs on packed rows: the real tokens of
 every sequence back to back, (N, d_model), with the (B, S) layout of
 `loss_and_grads` and `eval_loss` only at their interface. The embedding sum,
@@ -254,13 +263,28 @@ def _groups(lengths: np.ndarray, starts: np.ndarray) -> list[tuple[int, int, sli
     return out
 
 
-def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray, need_cache: bool):
+def _scatter_rows(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(R, d) rows placed at the distinct `rows` of an (n, d) block of zeros."""
+    out = np.zeros((n, x.shape[1]), dtype=x.dtype)
+    out[rows] = x
+    return out
+
+
+def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
+                  out_rows: np.ndarray | slice, need_cache: bool):
     """Shared forward pass over sequences packed back to back.
 
     `tokens` (N,) holds the ids of B sequences of the given (B,) `lengths`, one
-    after the other. Returns (hf, attn, cache): hf the final hidden rows,
-    packed the same way (N, d_model), and attn, per layer, the attention maps
-    (g, n_heads, L, L) of each group of equal-length sequences (`_groups`).
+    after the other. `out_rows` indexes the packed rows whose final hidden
+    state the caller reads, in the order it reads them (an integer array, or a
+    slice for every row). Every layer but the last runs on all N rows. The
+    last runs attention on all of them, since every row is a key and a value,
+    and everything after attention (the output projection, the residual, the
+    second layer norm, the FFN and the final layer norm) on `out_rows` only:
+    no other row feeds what the caller reads. Returns (hf, attn, cache): hf
+    the final hidden rows at `out_rows`, (len(out_rows), d_model), and attn,
+    per layer, the attention maps (g, n_heads, L, L) of each group of
+    equal-length sequences (`_groups`).
     """
     cfg = params.config
     if lengths.max() > cfg.max_seq:
@@ -271,9 +295,9 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray, need_
     h = params.emb[tokens] + params.pos[positions]
     scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=params.dtype))
 
-    cache = {"tokens": tokens, "groups": groups, "layers": []} if need_cache else None
+    cache = {"tokens": tokens, "groups": groups, "out_rows": out_rows, "layers": []} if need_cache else None
     attn_maps = []
-    for layer in params.layers:
+    for i, layer in enumerate(params.layers):
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
         q, k, v = (u @ layer["w" + name] + layer["b" + name] for name in "qkv")
         ctx = np.empty_like(u)
@@ -283,6 +307,8 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray, need_
             attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale)
             ctx[rows] = _merge_heads(attn @ vg)
             blocks.append((qg, kg, vg, attn))
+        if i == cfg.n_layers - 1:
+            ctx, h = ctx[out_rows], h[out_rows]
         o = ctx @ layer["wo"] + layer["bo"]
         h_mid = h + o
 
@@ -309,13 +335,17 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray, need_
 
 
 def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate d(loss)/d(hf), packed (N, d_model), through the stack.
+    """Backpropagate d(loss)/d(hf), (len(out_rows), d_model), through the stack.
 
-    Returns grads for all tensors. Every product runs on the packed rows,
-    except attention's, which run per group of equal-length sequences.
+    Returns grads for all tensors. The last layer's backward runs after
+    attention on the forward pass's `out_rows` alone, which must be distinct;
+    at the attention boundary the context and residual gradients go back to
+    their packed rows, zero elsewhere. Every other product runs on the packed
+    rows, except attention's, which run per group of equal-length sequences.
     """
     cfg = params.config
     grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+    tokens = cache["tokens"]
 
     dh, dgf, dbf = _ln_bwd(dhf, cache["final_ln"])
     grads["final_ln_g"] += dgf
@@ -342,6 +372,10 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         grads[prefix + "wo"] += lcache["ctx"].T @ dh_mid
         grads[prefix + "bo"] += dh_mid.sum(axis=0)
         dctx = dh_mid @ layer["wo"].T
+        if i == cfg.n_layers - 1:
+            # Back from the read rows to all packed rows: every row is a key
+            # and a value, but only the read rows carry a gradient.
+            dctx, dh_mid = (_scatter_rows(x, cache["out_rows"], tokens.size) for x in (dctx, dh_mid))
         dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
         for (g, _, rows), (q, k, v, attn) in zip(cache["groups"], lcache["blocks"]):
             dctx_g = _split_heads(dctx[rows], g, cfg.n_heads)
@@ -359,7 +393,11 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         grads[prefix + "ln1_b"] += db1
         dh = dh_in + dh_mid
 
-    np.add.at(grads["emb"], cache["tokens"], dh)
+    # The embedding gradient: the rows of each token id, summed in row order.
+    order = np.argsort(tokens, kind="stable")
+    sorted_tokens = tokens[order]
+    firsts = np.flatnonzero(np.diff(sorted_tokens, prepend=-1))
+    grads["emb"][sorted_tokens[firsts]] += np.add.reduceat(dh[order], firsts, axis=0)
     for g, n, rows in cache["groups"]:
         grads["pos"][:n] += dh[rows].reshape(g, n, -1).sum(axis=0)
     return grads
@@ -392,7 +430,7 @@ def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
     ids = _check_ids(params, seq)
-    hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), need_cache=False)
+    hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), slice(None), need_cache=False)
     logits = _vocab_logits(params, hidden)
     attentions = np.stack([maps[0][0] for maps in attn_maps]) if collect_attention else np.zeros(
         (0, params.config.n_heads, ids.size, ids.size), dtype=params.dtype
@@ -415,9 +453,10 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     are the probability vectors at positions[i] of seqs[i]. Sequences are
     sorted by (length, ids) and packed, PREDICT_BATCH at a time, back to back
     with no padding, so equal-length sequences lie next to each other and
-    share one attention call; the vocabulary head runs at the requested
-    positions only. Because the batches depend only on the set of sequences,
-    each result is the same whatever the input order.
+    share one attention call; the last layer after attention and the
+    vocabulary head run at the requested positions only. Because the batches
+    depend only on the set of sequences, each result is the same whatever the
+    input order.
     """
     if len(seqs) != len(positions):
         raise QtmineError(f"{len(seqs)} sequences but {len(positions)} position lists")
@@ -432,11 +471,12 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     for lo in range(0, len(order), PREDICT_BATCH):
         chunk = order[lo:lo + PREDICT_BATCH]
         lengths = np.array([ids[i].size for i in chunk])
-        hf, _, _ = _forward_core(params, np.concatenate([ids[i] for i in chunk]), lengths, need_cache=False)
         starts = np.cumsum(lengths) - lengths         # each sequence's first packed row
         counts = [pos[i].size for i in chunk]
         rows = np.repeat(starts, counts) + np.concatenate([pos[i] for i in chunk])
-        probs = stable_softmax(_vocab_logits(params, hf[rows]))
+        tokens = np.concatenate([ids[i] for i in chunk])
+        hf, _, _ = _forward_core(params, tokens, lengths, rows, need_cache=False)
+        probs = stable_softmax(_vocab_logits(params, hf))
         for i, part in zip(chunk, np.split(probs, np.cumsum(counts)[:-1])):
             out[i] = part
     return out
@@ -446,10 +486,10 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     """The masked-LM loss head shared by training and evaluation.
 
     Packs the real tokens of the (B, S) batch, runs them through the stack,
-    gathers the final hidden rows at the `delta` positions and projects them
-    onto the vocabulary. Returns the per-target cross-entropy
-    log Σexp(z − zmax) − (z_label − zmax) and, with `need_grads`, the
-    gradients of its mean (otherwise None).
+    the last layer after attention at the `delta` positions only, and
+    projects those final hidden rows onto the vocabulary. Returns the
+    per-target cross-entropy log Σexp(z − zmax) − (z_label − zmax) and, with
+    `need_grads`, the gradients of its mean (otherwise None).
     """
     ids = np.asarray(ids, dtype=np.int64)
     delta = np.asarray(delta, dtype=bool)
@@ -468,8 +508,8 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
             raise QtmineError("batch has no targeted positions")
         return np.zeros(0, dtype=params.dtype), None
 
-    hf, _, cache = _forward_core(params, ids.reshape(-1)[slots], lengths, need_cache=need_grads)
-    rows = hf[targets]                                # (T, d)
+    read = np.flatnonzero(targets)                    # the targeted packed rows, (T,)
+    rows, _, cache = _forward_core(params, ids.reshape(-1)[slots], lengths, read, need_cache=need_grads)
     z = _vocab_logits(params, rows)                   # (T, V)
     z -= z.max(axis=-1, keepdims=True)
     ez = np.exp(z)
@@ -482,9 +522,7 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     dz = np.divide(ez, sez, out=ez)                   # softmax, in ez's memory
     dz[target] -= 1.0
     dz /= n_targeted
-    dhf = np.zeros_like(hf)
-    dhf[targets] = dz @ params.emb
-    grads = _backward_core(params, cache, dhf)
+    grads = _backward_core(params, cache, dz @ params.emb)
     grads["emb"] += dz.T @ rows
     grads["out_bias"] += dz.sum(axis=0)
     return ce, grads

@@ -32,10 +32,13 @@ from qtmine.model import (
 )
 
 TINY = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, max_seq=12, vocab_size=40)
+# One layer: the last layer, which runs after attention at the read rows only,
+# is then the whole stack.
+TINY_ONE_LAYER = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq=12, vocab_size=40)
 
 
-def tiny_params(seed=0, dtype=np.float64):
-    return init_params(TINY, seed=seed).astype(dtype)
+def tiny_params(seed=0, dtype=np.float64, config=TINY):
+    return init_params(config, seed=seed).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,22 @@ def test_predict_masked_matches_per_sequence_forward():
     assert predict_masked(params, [], []) == []
 
 
+@pytest.mark.parametrize("config", [TINY_ONE_LAYER, TINY], ids=["1-layer", "2-layer"])
+def test_predict_masked_reads_any_positions_in_request_order(config):
+    # float64, so the read-rows-only last layer must agree with the all-rows
+    # pass of `forward` to rounding: positions out of order and repeated.
+    params = tiny_params(seed=14, config=config)
+    seqs = [[5, 9, 2, 30, 7, 7, 1], [3, 8], [11, 4, 26, 19, 2], [6]]
+    positions = [[6, 0, 3, 0, 6], [], [4, 1, 1], [0, 0]]
+    for seq, pos, probs in zip(seqs, positions, predict_masked(params, seqs, positions)):
+        out = forward(params, seq, collect_attention=False)
+        expect = np.array([softmax_position(out, t) for t in pos]).reshape(len(pos), config.vocab_size)
+        assert probs.shape == expect.shape
+        np.testing.assert_allclose(probs, expect, rtol=0, atol=1e-12)
+    empty = predict_masked(params, seqs, [[]] * len(seqs))
+    assert [p.shape for p in empty] == [(0, config.vocab_size)] * len(seqs)
+
+
 def test_predict_masked_rejects_bad_input():
     params = tiny_params()
     for seqs, positions in [
@@ -226,22 +245,29 @@ def padded_batch(params, rng, rows):
 
 
 def test_padded_batch_loss_matches_single_rows():
-    params = tiny_params(seed=7)
-    rng = np.random.default_rng(1)
-    rows = [rng.integers(0, TINY.vocab_size, n).tolist() for n in (10, 6, 3)]
-    ids, lengths, delta, labels = padded_batch(params, rng, rows)
-    loss, _ = loss_and_grads(params, ids, lengths, delta, labels)
-    ce_sum, n = eval_loss(params, ids, lengths, delta, labels)
-
-    # Reference: run each row unpadded and read the targeted log-probs.
-    ces = []
-    for row in rows:
-        out = forward(params, row)
-        for t in (0, len(row) - 1):
-            ces.append(-math.log(softmax_position(out, t)[row[t]]))
-    assert abs(loss - np.mean(ces)) < 1e-10
-    assert n == len(ces)
-    assert abs(ce_sum - np.sum(ces)) < 1e-10
+    # float64. The loss reads the last layer at the targeted rows only; it must
+    # equal -log p[label] read from each row's unpadded all-rows `forward`,
+    # with targets at the first and the last real slot and one row that has
+    # none. The 1-layer model checks the last layer as the whole stack.
+    rng = np.random.default_rng(15)
+    for config in (TINY_ONE_LAYER, TINY):
+        params = tiny_params(seed=15, config=config)
+        rows = [rng.integers(0, config.vocab_size, n) for n in (9, 4, 12, 1, 6)]
+        ids, lengths = model.pad_rows(rows, fill=1)
+        delta = np.zeros(ids.shape, dtype=bool)
+        for i, slots in enumerate([[0, 3, 8], [], [11, 5, 0], [0], [2, 5]]):
+            delta[i, slots] = True
+        labels = rng.integers(0, config.vocab_size, int(delta.sum()))
+        want, label = [], iter(labels)
+        for row, slots in zip(rows, delta):
+            out = forward(params, row, collect_attention=False)
+            for t in np.flatnonzero(slots):
+                want.append(-math.log(softmax_position(out, t)[next(label)]))
+        loss, _ = loss_and_grads(params, ids, lengths, delta, labels)
+        ce_sum, n = eval_loss(params, ids, lengths, delta, labels)
+        assert n == len(want) == labels.size
+        assert abs(loss - np.mean(want)) < 1e-10
+        assert abs(ce_sum - np.sum(want)) < 1e-10
 
 
 def test_eval_loss_mean_matches_training_loss_in_float32():
@@ -422,14 +448,19 @@ def test_eval_loss_empty_targets_is_zero():
 
 def test_sampled_finite_difference_gradients():
     # Smoke-level FD check on a few coordinates per tensor; the acceptance
-    # suite sweeps every coordinate.
-    params = tiny_params(seed=5)
+    # suite sweeps every coordinate. The 1-layer model checks the last layer
+    # (run after attention at the targeted rows only) as the whole stack.
+    for config in (TINY, TINY_ONE_LAYER):
+        _check_sampled_finite_differences(tiny_params(seed=5, config=config))
+
+
+def _check_sampled_finite_differences(params):
     rng = np.random.default_rng(3)
-    ids = rng.integers(0, TINY.vocab_size, (2, 7))
+    ids = rng.integers(0, params.config.vocab_size, (2, 7))
     lengths = np.array([7, 5])
     delta = np.zeros((2, 7), bool)
     delta[0, 2] = delta[0, 5] = delta[1, 1] = True
-    labels = rng.integers(0, TINY.vocab_size, 3)
+    labels = rng.integers(0, params.config.vocab_size, 3)
     _, grads = loss_and_grads(params, ids, lengths, delta, labels)
     eps = 1e-5
     for name, arr in params.named_tensors():
