@@ -1,6 +1,8 @@
 """Command-line front end: every pipeline stage as a subcommand.
 
-Flags override the JSON config; there is no environment configuration.
+`main` resolves the settings once: the JSON config, then every flag whose
+dest is a `RunConfig` field, in one `apply_overrides` call. Commands read
+settings from that config only; there is no environment configuration.
 Output files contain no timestamps — the only timestamp of a run is in the
 first log line — so a rerun with the same config and seed reproduces every
 artifact byte for byte.
@@ -12,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,9 +57,8 @@ def _load_model(args) -> tuple:
     return vocab, params
 
 
-def _load_trials(cfg: RunConfig):
-    aliases = load_aliases(cfg.aliases) if cfg.aliases else None
-    return load_trials(_require(cfg.trials, "trials"), aliases)
+def _load_aliases(cfg: RunConfig):
+    return load_aliases(cfg.aliases) if cfg.aliases else None
 
 
 def _parse_years(spec: str) -> list[int]:
@@ -135,7 +137,7 @@ def cmd_analogies(args, cfg: RunConfig) -> int:
 
 
 def cmd_kshot(args, cfg: RunConfig) -> int:
-    train_cfg = T.TrainConfig(lr=args.lr)
+    train_cfg = T.TrainConfig(lr=cfg.lr)
     vocab, params = _load_model(args)
     items = load_analogies(_require(cfg.analogies, "analogies"))
     sentences, excluded = A.sample_kshot(items, args.k, cfg.seed)
@@ -163,7 +165,7 @@ def cmd_kshot(args, cfg: RunConfig) -> int:
 def cmd_qt(args, cfg: RunConfig) -> int:
     vocab, params = _load_model(args)
     query = Q.QuerySpec.render(vocab, args.query, drug=args.drug)
-    target = Q.TargetSpec.from_phrase(vocab, args.target or cfg.target)
+    target = Q.TargetSpec.from_phrase(vocab, cfg.target)
     score = Q.qt_score(params, query, target, agg=args.agg, mode=args.mode)
     _print_score("qt", score)
     return 0
@@ -171,10 +173,10 @@ def cmd_qt(args, cfg: RunConfig) -> int:
 
 def cmd_rank(args, cfg: RunConfig) -> int:
     vocab, params = _load_model(args)
-    trials = _load_trials(cfg)
-    target = Q.TargetSpec.from_phrase(vocab, args.target or cfg.target)
+    trials = load_trials(_require(cfg.trials, "trials"), _load_aliases(cfg))
+    target = Q.TargetSpec.from_phrase(vocab, cfg.target)
     ranked = F.rank_current(params, vocab, trials, args.year,
-                            template=args.template or cfg.template, target=target)
+                            template=cfg.template, target=target)
     rows = F.rank_rows(ranked)
     if args.out:
         write_atomic(args.out, csv_bytes(rows))
@@ -193,20 +195,19 @@ def cmd_rank(args, cfg: RunConfig) -> int:
 
 def cmd_fc(args, cfg: RunConfig) -> int:
     docset = load_corpus(_require(cfg.corpus, "corpus"))
-    trials = _load_trials(cfg)
-    approvals = load_approvals(_require(cfg.approvals, "approvals"),
-                               load_aliases(cfg.aliases) if cfg.aliases else None)
+    aliases = _load_aliases(cfg)
+    trials = load_trials(_require(cfg.trials, "trials"), aliases)
+    approvals = load_approvals(_require(cfg.approvals, "approvals"), aliases)
     years = _parse_years(args.years)
     outdir = args.outdir or str(Path(cfg.output_dir) / "fc")
     _, metrics = F.fc_analysis(
         docset, trials, approvals, years,
         vocab_size=cfg.vocab_size,
-        model_dims={"n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-                    "d_model": cfg.d_model, "d_ff": cfg.d_ff, "max_seq": cfg.max_seq},
+        model_dims=cfg.model_dims(),
         train_cfg=cfg.train_config(),
         base_seed=cfg.seed,
         template=cfg.template,
-        target_phrase=args.target or cfg.target,
+        target_phrase=cfg.target,
         retrain=not args.no_retrain,
         outdir=outdir,
     )
@@ -227,9 +228,9 @@ def cmd_mine(args, cfg: RunConfig) -> int:
 def cmd_combine(args, cfg: RunConfig) -> int:
     vocab, params = _load_model(args)
     drugs = [d.strip() for d in args.drugs.split(",") if d.strip()]
-    target = Q.TargetSpec.from_phrase(vocab, args.target or cfg.target)
+    target = Q.TargetSpec.from_phrase(vocab, cfg.target)
     score = Q.combination_score(params, vocab, drugs,
-                                template=args.template or cfg.template, target=target)
+                                template=cfg.template, target=target)
     _print_score("combination " + "+".join(drugs), score)
     return 0
 
@@ -238,7 +239,7 @@ def cmd_side_effects(args, cfg: RunConfig) -> int:
     vocab, params = _load_model(args)
     target = Q.TargetSpec.from_phrase(vocab, args.negative_target)
     score = Q.side_effect_score(params, vocab, args.drug, target,
-                                template=args.template or cfg.template)
+                                template=cfg.template)
     _print_score(f"side-effects {args.drug}", score)
     return 0
 
@@ -374,12 +375,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        apply_overrides(cfg, seed=args.seed, corpus=args.corpus, trials=args.trials,
-                        aliases=args.aliases, approvals=args.approvals,
-                        analogies=args.analogies, output_dir=args.output_dir)
-        for name in ("vocab_size", "lr", "batch_size", "n_epochs", "max_steps"):
-            if hasattr(args, name):
-                apply_overrides(cfg, **{name: getattr(args, name)})
+        settings = {f.name for f in fields(RunConfig)}
+        apply_overrides(cfg, **{k: v for k, v in vars(args).items() if k in settings})
         if cfg.seed < 0:
             raise DataFormatError(f"seed must be non-negative, got {cfg.seed}")
         logger.info(kv(event="start", command=args.command,

@@ -2,7 +2,8 @@
 
 Only the keys present in the file are applied, so a config stays minimal and
 self-documenting; unknown keys, and values of the wrong type for their
-`RunConfig` field, are rejected rather than silently ignored. The single seed
+`RunConfig` field, are rejected rather than silently ignored. A command-line
+flag replaces the file's value, an empty string included. The single seed
 here feeds every stochastic component of a run.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -38,29 +39,27 @@ class RunConfig:
     max_seq: int = 128
     vocab_size: int = 8192
 
-    lr: float = 3e-4
-    batch_size: int = 16
-    n_epochs: int = 10
-    max_steps: int | None = None
-    warmup_frac: float = 0.06
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
+    n_epochs: int = TrainConfig.n_epochs
+    max_steps: int | None = TrainConfig.max_steps
+    warmup_frac: float = TrainConfig.warmup_frac
 
     template: str = DEFAULT_RANK_TEMPLATE
     target: str = DEFAULT_TARGET_PHRASE
     highlight_template: str = DEFAULT_HIGHLIGHT_TEMPLATE
     seed: int = 0
 
+    def model_dims(self) -> dict[str, int]:
+        """Every `ModelConfig` field but `vocab_size`, which the trained vocabulary sets."""
+        return {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"}
+
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(n_layers=self.n_layers, n_heads=self.n_heads,
-                           d_model=self.d_model, d_ff=self.d_ff,
-                           max_seq=self.max_seq, vocab_size=vocab_size)
+        return ModelConfig(**self.model_dims(), vocab_size=vocab_size)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, batch_size=self.batch_size,
-                           n_epochs=self.n_epochs, max_steps=self.max_steps,
-                           warmup_frac=self.warmup_frac)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)
+                              if hasattr(self, f.name)})
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)

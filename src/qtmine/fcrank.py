@@ -138,6 +138,8 @@ def fc_analysis(
         raise EvalError("cutoff years must be strictly ascending")
     if not years:
         raise EvalError("no cutoff years given")
+    if not target_phrase:
+        raise EvalError("target phrase is empty")  # no vocabulary gives it a token
 
     shared: tuple[Vocab, M.Params] | None = None
     if not retrain:

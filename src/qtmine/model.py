@@ -289,6 +289,8 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     cfg = params.config
     if lengths.max() > cfg.max_seq:
         raise QtmineError(f"sequence length {lengths.max()} exceeds max_seq {cfg.max_seq}")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+        raise QtmineError(f"token id out of range for vocab_size {cfg.vocab_size}")
     starts = np.cumsum(lengths) - lengths
     groups = _groups(lengths, starts)
     positions = np.arange(tokens.size) - np.repeat(starts, lengths)
@@ -408,13 +410,11 @@ def _vocab_logits(params: Params, rows: np.ndarray) -> np.ndarray:
     return rows @ params.emb.T + params.out_bias
 
 
-def _check_ids(params: Params, seq) -> np.ndarray:
-    """One sequence as a 1-D int64 array; empty or out-of-vocabulary ids are fatal."""
+def _check_ids(seq) -> np.ndarray:
+    """One sequence as a 1-D int64 array; an empty one is fatal."""
     ids = np.asarray(seq, dtype=np.int64).reshape(-1)
     if ids.size == 0:
         raise QtmineError("cannot run the model on an empty sequence")
-    if ids.max() >= params.config.vocab_size or ids.min() < 0:
-        raise QtmineError(f"token id out of range for vocab_size {params.config.vocab_size}")
     return ids
 
 
@@ -429,7 +429,7 @@ def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
 
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
-    ids = _check_ids(params, seq)
+    ids = _check_ids(seq)
     hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), slice(None), need_cache=False)
     logits = _vocab_logits(params, hidden)
     attentions = np.stack([maps[0][0] for maps in attn_maps]) if collect_attention else np.zeros(
@@ -460,7 +460,7 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     """
     if len(seqs) != len(positions):
         raise QtmineError(f"{len(seqs)} sequences but {len(positions)} position lists")
-    ids = [_check_ids(params, seq) for seq in seqs]
+    ids = [_check_ids(seq) for seq in seqs]
     pos = [np.asarray(p, dtype=np.int64).reshape(-1) for p in positions]
     for seq, p in zip(ids, pos):
         if p.size and not (0 <= p.min() and p.max() < seq.size):
@@ -499,6 +499,8 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     n_targeted = int(delta.sum())
     if labels.shape[0] != n_targeted:
         raise QtmineError(f"{labels.shape[0]} labels for {n_targeted} targeted positions")
+    if labels.size and (labels.min() < 0 or labels.max() >= params.config.vocab_size):
+        raise QtmineError(f"label out of range for vocab_size {params.config.vocab_size}")
     lengths, slots = _layout(ids, lengths)
     targets = delta.reshape(-1)[slots]                # (N,) over the packed rows
     if int(targets.sum()) != n_targeted:
@@ -541,7 +543,8 @@ def loss_and_grads(
     `delta` a boolean (B, S) targeting mask, and `labels` the original token
     ids at the targeted positions, taken in row-major order. Logits are only
     formed at targeted positions; a batch with none, a length outside 1..S, a
-    mask of another shape or a target in the padding is an error.
+    mask of another shape, a target in the padding, or a real token or label
+    outside the vocabulary is an error.
     """
     ce, grads = _mlm_head(params, ids, lengths, delta, labels, need_grads=True)
     return float(ce.mean()), grads

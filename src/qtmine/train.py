@@ -89,8 +89,6 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
     warmup = max(1, int(round(warmup_frac * total_steps)))
     if step <= warmup:
         return base_lr * step / warmup
-    if total_steps == warmup:
-        return base_lr
     return base_lr * (total_steps - step) / (total_steps - warmup)
 
 

@@ -3,7 +3,9 @@ end-to-end run of every subcommand against a tiny trained model."""
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -247,6 +249,45 @@ def test_build_parser_routes_subcommands():
 
     args = parser.parse_args(["kshot", "--k", "2", "--steps", "9"])
     assert (args.k, args.steps) == (2, 9)
+
+
+def _setting_flag_cases():
+    """One case per parser option whose dest is a RunConfig field: the
+    subcommand, an argv that sets the option to a non-default value (a global
+    option before `perplexity`) plus the subcommand's required options, the
+    dest, and the value the config should then hold. Strings are set to ""
+    on purpose: an empty flag is a value, not "unset"."""
+    parser = build_parser()
+    settings = {f.name for f in dataclasses.fields(RunConfig)}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def case(command, action, is_global):
+        flag = action.option_strings[0]
+        value = {int: "7", float: "0.5", None: ""}[action.type]
+        required = [arg for a in sub.choices[command]._actions if a.required
+                    for arg in (a.option_strings[0], "1" if a.type is int else "x")]
+        argv = ([flag, value, command] if is_global else [command, flag, value]) + required
+        return pytest.param(command, argv, action.dest, (action.type or str)(value),
+                            id=flag if is_global else f"{command} {flag}")
+
+    cases = [case("perplexity", a, True) for a in parser._actions if a.dest in settings]
+    for command, p in sub.choices.items():
+        cases += [case(command, a, False) for a in p._actions if a.dest in settings]
+    return cases
+
+
+@pytest.mark.parametrize("command,argv,dest,want", _setting_flag_cases())
+def test_every_setting_flag_reaches_the_config(monkeypatch, command, argv, dest, want):
+    seen = []
+
+    def capture(args, cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setattr(f"qtmine.cli.cmd_{command.replace('-', '_')}", capture)
+    assert main(argv) == 0
+    assert want != getattr(RunConfig(), dest)
+    assert getattr(seen[0], dest) == want
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +729,15 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return ["--config", config, *train, "--lr", "nan"]
     if case == "train-lr-inf":
         return ["--config", config, *train, "--lr", "inf"]
+    if case == "rank-template-empty":
+        return ["--config", config, "rank", *model_args(ws), "--year", "2002", "--template", ""]
+    if case == "rank-target-empty":
+        return ["--config", config, "rank", *model_args(ws), "--year", "2002", "--target", ""]
+    if case == "qt-target-empty":
+        return ["--config", config, "qt", *model_args(ws), "--query", "x <mask>", "--target", ""]
+    if case == "fc-target-empty":
+        return ["--config", config, "fc", "--years", "2001:2002", "--outdir",
+                str(tmp_path / "out"), "--target", ""]
     warmup = {"warmup-frac-nan": float("nan"), "warmup-frac-infinity": float("inf"),
               "warmup-frac-negative": -0.5, "warmup-frac-above-one": 1.5}
     if case in warmup:
@@ -731,6 +781,10 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("warmup-frac-infinity", "DataFormatError"),
     ("warmup-frac-negative", "DataFormatError"),
     ("warmup-frac-above-one", "DataFormatError"),
+    ("rank-template-empty", "TemplateError"),
+    ("rank-target-empty", "EvalError"),
+    ("qt-target-empty", "EvalError"),
+    ("fc-target-empty", "EvalError"),
 ])
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))

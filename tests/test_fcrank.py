@@ -124,6 +124,16 @@ def test_fc_analysis_validates_years(fc_docs):
                         model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=0)
 
 
+def test_fc_analysis_rejects_an_empty_target_before_training(fc_docs, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a cutoff")
+
+    monkeypatch.setattr("qtmine.fcrank.train_at_cutoff", no_training)
+    with pytest.raises(EvalError, match="target phrase is empty"):
+        fc_analysis(fc_docs, TRIALS, APPROVALS, [2001, 2002], vocab_size=FC_VOCAB,
+                    model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=0, target_phrase="")
+
+
 def test_train_at_cutoff_needs_dated_documents(fc_docs):
     with pytest.raises(EvalError):
         train_at_cutoff(fc_docs, 1990, vocab_size=FC_VOCAB, model_dims=MODEL_DIMS,

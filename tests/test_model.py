@@ -399,7 +399,8 @@ def test_padded_batch_matches_unpadded_rows_within_tolerance(dims, lengths):
 
 @pytest.mark.parametrize("case", ["lengths-broadcast", "lengths-zero", "lengths-negative",
                                   "lengths-past-width", "lengths-float", "delta-shape",
-                                  "target-in-padding"])
+                                  "target-in-padding", "id-negative", "id-past-vocab",
+                                  "label-negative", "label-past-vocab"])
 def test_bad_batch_layout_is_a_typed_error(case):
     params = tiny_params()
     ids = np.array([[4, 9, 2, 1], [7, 3, 1, 1]])
@@ -422,6 +423,14 @@ def test_bad_batch_layout_is_a_typed_error(case):
     elif case == "target-in-padding":
         delta[1, 2] = True
         labels = np.array([9, 7, 5])
+    elif case == "id-negative":
+        ids[0, 2] = -1
+    elif case == "id-past-vocab":
+        ids[1, 1] = params.config.vocab_size
+    elif case == "label-negative":
+        labels = np.array([9, -1])
+    elif case == "label-past-vocab":
+        labels = np.array([params.config.vocab_size, 7])
     with pytest.raises(QtmineError):
         loss_and_grads(params, ids, lengths, delta, labels)
     with pytest.raises(QtmineError):
