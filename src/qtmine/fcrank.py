@@ -24,8 +24,9 @@ import numpy as np
 from . import model as M
 from . import train as T
 from .corpus import ApprovalRecord, DocumentSet, TrialRecord, candidates_at_year, filter_by_year
-from .errors import EvalError
-from .qt import DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, RankedItem, TargetSpec, rank_by_qt
+from .errors import EvalError, TemplateError
+from .qt import (DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, DRUG_SLOT, RankedItem, TargetSpec,
+                 rank_by_qt)
 from .tokenizer import Vocab, train_bpe
 from .util import csv_bytes, get_logger, kv, write_atomic
 
@@ -140,6 +141,8 @@ def fc_analysis(
         raise EvalError("no cutoff years given")
     if not target_phrase:
         raise EvalError("target phrase is empty")  # no vocabulary gives it a token
+    if DRUG_SLOT not in template:
+        raise TemplateError(f"ranking template must contain {DRUG_SLOT}")
 
     shared: tuple[Vocab, M.Params] | None = None
     if not retrain:

@@ -14,12 +14,17 @@ projection and the cross-entropy run at the targeted positions only, and
 
 The last layer runs only at the rows its caller reads (`out_rows` of
 `_forward_core`): the targeted rows for the loss head, the requested
-positions for `predict_masked`, every row for `forward`. Its attention still
-runs on every row, because every row is a key and a value; after attention,
-the output projection, the residual, the second layer norm, the FFN and the
-final layer norm run on the read rows alone, and so does their backward pass.
-No row dropped there feeds the loss or a probability, so the maths is that of
-the full pass; in float32 only the rounding of the smaller products differs.
+positions for `predict_masked`, every row for `forward`. Its keys and values
+cover every row, because every row is a key and a value; its queries, scores,
+softmax and attn @ v, and after attention the output projection, the
+residual, the second layer norm, the FFN and the final layer norm run on the
+read rows alone, and so does their backward pass. Per group of equal-length
+sequences the read rows form a dense (g, n_heads, m, d_head) query block, m
+the most read rows of any sequence in it, with unused slots zero
+(`_query_layout`). No row dropped there feeds the loss or a probability, and
+a zero slot's context is never read and sends no gradient, so the maths is
+that of the full pass; in float32 only the rounding of the smaller products
+differs.
 
 Batches are padding-free. The model runs on packed rows: the real tokens of
 every sequence back to back, (N, d_model), with the (B, S) layout of
@@ -263,11 +268,112 @@ def _groups(lengths: np.ndarray, starts: np.ndarray) -> list[tuple[int, int, sli
     return out
 
 
-def _scatter_rows(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(R, d) rows placed at the distinct `rows` of an (n, d) block of zeros."""
-    out = np.zeros((n, x.shape[1]), dtype=x.dtype)
-    out[rows] = x
+def _query_layout(lengths: np.ndarray, starts: np.ndarray, out_rows: np.ndarray):
+    """Where each group's read rows sit in its (g, n_heads, m, d_head) query block.
+
+    Returns one (src, dst, m) per group of `_groups`, in its order: src
+    indexes the entries of `out_rows` (the queries, in read order) that fall
+    in the group, dst their flat places slot·m + rank in the block (slot: the
+    sequence within the group; rank: the read row within the sequence), and m
+    the most read rows of any sequence in the group, 0 if it has none. Built
+    with index arithmetic over the whole batch, not per sequence.
+    """
+    b = lengths.size
+    seq = np.searchsorted(starts, out_rows, side="right") - 1      # sequence of each read row
+    per_seq = np.bincount(seq, minlength=b)
+    by_seq = np.argsort(seq, kind="stable")
+    rank = np.empty_like(seq)
+    rank[by_seq] = np.arange(seq.size) - np.repeat(np.cumsum(per_seq) - per_seq, per_seq)
+
+    by_len = np.argsort(lengths, kind="stable")                     # `_groups` order of sequences
+    sorted_lengths = lengths[by_len]
+    new = np.ones(b, dtype=bool)                                    # the first of each group
+    new[1:] = sorted_lengths[1:] != sorted_lengths[:-1]
+    group_first = np.flatnonzero(new)
+    group = np.empty(b, dtype=np.int64)
+    group[by_len] = np.cumsum(new) - 1
+    slot = np.empty(b, dtype=np.int64)
+    slot[by_len] = np.arange(b) - group_first[group[by_len]]
+    m = np.maximum.reduceat(per_seq[by_len], group_first)
+
+    row_group = group[seq]
+    dst = slot[seq] * m[row_group] + rank
+    by_group = np.argsort(row_group, kind="stable")
+    bounds = np.cumsum(np.bincount(row_group, minlength=group_first.size)).tolist()
+    out, lo = [], 0
+    for m_g, hi in zip(m.tolist(), bounds):
+        src = by_group[lo:hi]
+        out.append((src, dst[src], m_g))
+        lo = hi
     return out
+
+
+def _to_block(x: np.ndarray, rows, src, dst, g: int, m: int, n_heads: int) -> np.ndarray:
+    """A group's query-side rows as a (g, n_heads, m, d_head) block.
+
+    With src None, x holds every packed row and the block is x[rows]; else x
+    holds the read rows, and x[src] goes to the block's `dst` places, zero
+    elsewhere.
+    """
+    if src is None:
+        return _split_heads(x[rows], g, n_heads)
+    block = np.zeros((g * m, x.shape[1]), dtype=x.dtype)
+    block[dst] = x[src]
+    return _split_heads(block, g, n_heads)
+
+
+def _from_block(block: np.ndarray, out: np.ndarray, rows, src, dst) -> None:
+    """Write a (g, n_heads, m, d_head) query-side block back to `out`'s rows (`_to_block` undone)."""
+    if src is None:
+        out[rows] = _merge_heads(block)
+    else:
+        out[src] = _merge_heads(block)[dst]
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, groups, queries, scale, n_heads: int):
+    """Context rows for the query rows `q`, one per row of q, and the blocks the backward pass reads.
+
+    k and v hold every packed row. `queries` holds one (src, dst, m) per
+    group: `_query_layout`'s for read rows, or (None, None, L) when q holds
+    every packed row and a group's query block is its own rows. Each group's
+    queries are scored against its own keys, with no mask: an unused query
+    slot is zero, and its context is never read. A group with no query row is
+    skipped (its block is None).
+    """
+    ctx = np.empty_like(q)
+    blocks = []
+    for (g, _, rows), (src, dst, m) in zip(groups, queries):
+        if m == 0:
+            blocks.append(None)
+            continue
+        qg = _to_block(q, rows, src, dst, g, m, n_heads)
+        kg, vg = (_split_heads(x[rows], g, n_heads) for x in (k, v))
+        attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale)
+        _from_block(attn @ vg, ctx, rows, src, dst)
+        blocks.append((qg, kg, vg, attn))
+    return ctx, blocks
+
+
+def _attention_bwd(dctx: np.ndarray, n_rows: int, groups, queries, blocks, scale, n_heads: int):
+    """(dq, dk, dv) from the context gradient at the query rows: dq at the
+    query rows, dk and dv at all `n_rows` packed rows.
+
+    An unused query slot has a zero context gradient, so it adds nothing to
+    dk or dv; a group with no query row adds nothing at all.
+    """
+    dq = np.empty_like(dctx)
+    dk, dv = (np.zeros((n_rows, dctx.shape[1]), dtype=dctx.dtype) for _ in range(2))
+    for (g, _, rows), (src, dst, m), block in zip(groups, queries, blocks):
+        if block is None:
+            continue
+        q, k, v, attn = block
+        dctx_g = _to_block(dctx, rows, src, dst, g, m, n_heads)
+        dattn = dctx_g @ v.transpose(0, 1, 3, 2)
+        dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
+        _from_block((dscores @ k) * scale, dq, rows, src, dst)
+        dk[rows] = _merge_heads((dscores.transpose(0, 1, 3, 2) @ q) * scale)
+        dv[rows] = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx_g)
+    return dq, dk, dv
 
 
 def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
@@ -277,14 +383,17 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     `tokens` (N,) holds the ids of B sequences of the given (B,) `lengths`, one
     after the other. `out_rows` indexes the packed rows whose final hidden
     state the caller reads, in the order it reads them (an integer array, or a
-    slice for every row). Every layer but the last runs on all N rows. The
-    last runs attention on all of them, since every row is a key and a value,
-    and everything after attention (the output projection, the residual, the
-    second layer norm, the FFN and the final layer norm) on `out_rows` only:
-    no other row feeds what the caller reads. Returns (hf, attn, cache): hf
-    the final hidden rows at `out_rows`, (len(out_rows), d_model), and attn,
-    per layer, the attention maps (g, n_heads, L, L) of each group of
-    equal-length sequences (`_groups`).
+    slice for every row); a row may be read more than once. Every layer but
+    the last runs on all N rows. The last projects keys and values at all of
+    them, since every row is a key and a value, but its queries, and so its
+    scores, softmax and attn @ v, and everything after attention (the output
+    projection, the residual, the second layer norm, the FFN and the final
+    layer norm) at `out_rows` only: no other row feeds what the caller reads.
+    Returns (hf, attn, cache): hf the final hidden rows at `out_rows`,
+    (len(out_rows), d_model), and attn, per layer, the attention maps of each
+    group of equal-length sequences (`_groups`): (g, n_heads, L, L) for every
+    row, and in the last layer (g, n_heads, m, L) for the read rows of
+    `_query_layout`, None for a group with no read row.
     """
     cfg = params.config
     if lengths.max() > cfg.max_seq:
@@ -293,24 +402,22 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
         raise QtmineError(f"token id out of range for vocab_size {cfg.vocab_size}")
     starts = np.cumsum(lengths) - lengths
     groups = _groups(lengths, starts)
+    every_row = [(None, None, n) for _, n, _ in groups]
+    read_rows = every_row if isinstance(out_rows, slice) else _query_layout(lengths, starts, out_rows)
     positions = np.arange(tokens.size) - np.repeat(starts, lengths)
     h = params.emb[tokens] + params.pos[positions]
     scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=params.dtype))
 
-    cache = {"tokens": tokens, "groups": groups, "out_rows": out_rows, "layers": []} if need_cache else None
+    cache = {"tokens": tokens, "groups": groups, "layers": []} if need_cache else None
     attn_maps = []
     for i, layer in enumerate(params.layers):
+        last = i == cfg.n_layers - 1
+        queries, q_rows = (read_rows, out_rows) if last else (every_row, slice(None))
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
-        q, k, v = (u @ layer["w" + name] + layer["b" + name] for name in "qkv")
-        ctx = np.empty_like(u)
-        blocks = []
-        for g, n, rows in groups:
-            qg, kg, vg = (_split_heads(x[rows], g, cfg.n_heads) for x in (q, k, v))
-            attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale)
-            ctx[rows] = _merge_heads(attn @ vg)
-            blocks.append((qg, kg, vg, attn))
-        if i == cfg.n_layers - 1:
-            ctx, h = ctx[out_rows], h[out_rows]
+        q = u[q_rows] @ layer["wq"] + layer["bq"]
+        k, v = (u @ layer["w" + name] + layer["b" + name] for name in "kv")
+        ctx, blocks = _attention(q, k, v, groups, queries, scale, cfg.n_heads)
+        h = h[q_rows]
         o = ctx @ layer["wo"] + layer["bo"]
         h_mid = h + o
 
@@ -321,10 +428,10 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
         f2 = f1 * cdf
         h_out = h_mid + f2 @ layer["w2"] + layer["b2"]
 
-        attn_maps.append([block[3] for block in blocks])
+        attn_maps.append([None if block is None else block[3] for block in blocks])
         if need_cache:
             cache["layers"].append({
-                "ln1": ln1_cache, "u": u, "blocks": blocks,
+                "ln1": ln1_cache, "u": u, "queries": queries, "q_rows": q_rows, "blocks": blocks,
                 "ctx": ctx, "ln2": ln2_cache, "v_in": v_in, "f1": f1, "cdf": cdf, "f2": f2,
             })
         h = h_out
@@ -339,11 +446,13 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
 def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate d(loss)/d(hf), (len(out_rows), d_model), through the stack.
 
-    Returns grads for all tensors. The last layer's backward runs after
-    attention on the forward pass's `out_rows` alone, which must be distinct;
-    at the attention boundary the context and residual gradients go back to
-    their packed rows, zero elsewhere. Every other product runs on the packed
-    rows, except attention's, which run per group of equal-length sequences.
+    Returns grads for all tensors. The last layer's backward runs on the
+    forward pass's `out_rows` alone, which must be distinct, up to the
+    attention products: dq and its share of the layer-norm input gradient
+    exist only there, while dk and dv reach every packed row, and the
+    residual gradient goes back to the read rows' packed places. Every other
+    product runs on the packed rows, except attention's, which run per group
+    of equal-length sequences.
     """
     cfg = params.config
     grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
@@ -370,30 +479,22 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         grads[prefix + "ln2_b"] += db2
         dh_mid = dh_mid + dh
 
-        # Attention sub-block (residual: h_mid = h_in + attn(u)).
+        # Attention sub-block (residual: h_mid = h_in + attn(u)), queries at q_rows.
         grads[prefix + "wo"] += lcache["ctx"].T @ dh_mid
         grads[prefix + "bo"] += dh_mid.sum(axis=0)
         dctx = dh_mid @ layer["wo"].T
-        if i == cfg.n_layers - 1:
-            # Back from the read rows to all packed rows: every row is a key
-            # and a value, but only the read rows carry a gradient.
-            dctx, dh_mid = (_scatter_rows(x, cache["out_rows"], tokens.size) for x in (dctx, dh_mid))
-        dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
-        for (g, _, rows), (q, k, v, attn) in zip(cache["groups"], lcache["blocks"]):
-            dctx_g = _split_heads(dctx[rows], g, cfg.n_heads)
-            dattn = dctx_g @ v.transpose(0, 1, 3, 2)
-            dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-            dq[rows] = _merge_heads((dscores @ k) * scale)
-            dk[rows] = _merge_heads((dscores.transpose(0, 1, 3, 2) @ q) * scale)
-            dv[rows] = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx_g)
-        for name, dx in (("q", dq), ("k", dk), ("v", dv)):
-            grads[prefix + "w" + name] += lcache["u"].T @ dx
+        u, q_rows = lcache["u"], lcache["q_rows"]
+        dq, dk, dv = _attention_bwd(dctx, tokens.size, cache["groups"], lcache["queries"],
+                                    lcache["blocks"], scale, cfg.n_heads)
+        for name, x, dx in (("q", u[q_rows], dq), ("k", u, dk), ("v", u, dv)):
+            grads[prefix + "w" + name] += x.T @ dx
             grads[prefix + "b" + name] += dx.sum(axis=0)
-        du = dq @ layer["wq"].T + dk @ layer["wk"].T + dv @ layer["wv"].T
-        dh_in, dg1, db1 = _ln_bwd(du, lcache["ln1"])
+        du = dk @ layer["wk"].T + dv @ layer["wv"].T
+        du[q_rows] += dq @ layer["wq"].T
+        dh, dg1, db1 = _ln_bwd(du, lcache["ln1"])
         grads[prefix + "ln1_g"] += dg1
         grads[prefix + "ln1_b"] += db1
-        dh = dh_in + dh_mid
+        dh[q_rows] += dh_mid
 
     # The embedding gradient: the rows of each token id, summed in row order.
     order = np.argsort(tokens, kind="stable")
@@ -453,10 +554,10 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     are the probability vectors at positions[i] of seqs[i]. Sequences are
     sorted by (length, ids) and packed, PREDICT_BATCH at a time, back to back
     with no padding, so equal-length sequences lie next to each other and
-    share one attention call; the last layer after attention and the
-    vocabulary head run at the requested positions only. Because the batches
-    depend only on the set of sequences, each result is the same whatever the
-    input order.
+    share one attention call; the last layer's queries and everything after
+    them, and the vocabulary head, run at the requested positions only.
+    Because the batches depend only on the set of sequences, each result is
+    the same whatever the input order.
     """
     if len(seqs) != len(positions):
         raise QtmineError(f"{len(seqs)} sequences but {len(positions)} position lists")
@@ -486,8 +587,8 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     """The masked-LM loss head shared by training and evaluation.
 
     Packs the real tokens of the (B, S) batch, runs them through the stack,
-    the last layer after attention at the `delta` positions only, and
-    projects those final hidden rows onto the vocabulary. Returns the
+    the last layer's queries and all after them at the `delta` positions
+    only, and projects those final hidden rows onto the vocabulary. Returns the
     per-target cross-entropy log Σexp(z − zmax) − (z_label − zmax) and, with
     `need_grads`, the gradients of its mean (otherwise None).
     """

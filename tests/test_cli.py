@@ -738,6 +738,9 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     if case == "fc-target-empty":
         return ["--config", config, "fc", "--years", "2001:2002", "--outdir",
                 str(tmp_path / "out"), "--target", ""]
+    if case == "fc-template-no-slot":
+        return ["--config", _config_with(ws, tmp_path, template="x <mask>"), "fc",
+                "--years", "2001:2002", "--outdir", str(tmp_path / "out")]
     warmup = {"warmup-frac-nan": float("nan"), "warmup-frac-infinity": float("inf"),
               "warmup-frac-negative": -0.5, "warmup-frac-above-one": 1.5}
     if case in warmup:
@@ -785,11 +788,14 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("rank-target-empty", "EvalError"),
     ("qt-target-empty", "EvalError"),
     ("fc-target-empty", "EvalError"),
+    ("fc-template-no-slot", "TemplateError"),
 ])
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))
     assert_one_typed_error(rc, err, error_type)
     assert not (tmp_path / "out").exists()  # no checkpoint written
+    if case.startswith("fc-"):
+        assert "event=train_start" not in err  # rejected before the first cutoff trains
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -12,7 +12,7 @@ import pytest
 
 import synth
 from qtmine.corpus import ApprovalRecord, TrialRecord, candidates_at_year, load_corpus
-from qtmine.errors import EvalError
+from qtmine.errors import EvalError, TemplateError
 from qtmine.fcrank import (
     HIT_KS,
     FcRun,
@@ -132,6 +132,17 @@ def test_fc_analysis_rejects_an_empty_target_before_training(fc_docs, monkeypatc
     with pytest.raises(EvalError, match="target phrase is empty"):
         fc_analysis(fc_docs, TRIALS, APPROVALS, [2001, 2002], vocab_size=FC_VOCAB,
                     model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=0, target_phrase="")
+
+
+def test_fc_analysis_rejects_a_template_without_a_drug_slot_before_training(fc_docs, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a cutoff")
+
+    monkeypatch.setattr("qtmine.fcrank.train_at_cutoff", no_training)
+    with pytest.raises(TemplateError, match="must contain"):
+        fc_analysis(fc_docs, TRIALS, APPROVALS, [2001, 2002], vocab_size=FC_VOCAB,
+                    model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=0,
+                    template="In clinical trials, this drug demonstrated <mask>.")
 
 
 def test_train_at_cutoff_needs_dated_documents(fc_docs):

@@ -32,8 +32,8 @@ from qtmine.model import (
 )
 
 TINY = ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, max_seq=12, vocab_size=40)
-# One layer: the last layer, which runs after attention at the read rows only,
-# is then the whole stack.
+# One layer: the last layer, whose queries and all after them run at the read
+# rows only, is then the whole stack.
 TINY_ONE_LAYER = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, max_seq=12, vocab_size=40)
 
 
@@ -191,9 +191,12 @@ def test_predict_masked_matches_per_sequence_forward():
 def test_predict_masked_reads_any_positions_in_request_order(config):
     # float64, so the read-rows-only last layer must agree with the all-rows
     # pass of `forward` to rounding: positions out of order and repeated.
+    # The length-5 sequences share one group whose read-row block is uneven:
+    # 3, 0, 1 and 4 read rows.
     params = tiny_params(seed=14, config=config)
-    seqs = [[5, 9, 2, 30, 7, 7, 1], [3, 8], [11, 4, 26, 19, 2], [6]]
-    positions = [[6, 0, 3, 0, 6], [], [4, 1, 1], [0, 0]]
+    seqs = [[5, 9, 2, 30, 7, 7, 1], [3, 8], [11, 4, 26, 19, 2], [6],
+            [11, 4, 26, 19, 3], [2, 2, 17, 0, 39], [8, 13, 5, 21, 1]]
+    positions = [[6, 0, 3, 0, 6], [], [4, 1, 1], [0, 0], [], [3], [4, 2, 4, 0]]
     for seq, pos, probs in zip(seqs, positions, predict_masked(params, seqs, positions)):
         out = forward(params, seq, collect_attention=False)
         expect = np.array([softmax_position(out, t) for t in pos]).reshape(len(pos), config.vocab_size)
@@ -268,6 +271,48 @@ def test_padded_batch_loss_matches_single_rows():
         assert n == len(want) == labels.size
         assert abs(loss - np.mean(want)) < 1e-10
         assert abs(ce_sum - np.sum(want)) < 1e-10
+
+
+def uneven_read_rows_batch(config):
+    """Rows of lengths (6, 3, 6, 5, 3, 6) with 2, 1, 0, 0, 0 and 3 targets.
+
+    The length-6 group's read-row block holds 3 slots per sequence, of which
+    1, 3 and 0 are unused; the length-3 group's holds 1, one of them unused;
+    the length-5 group has no read row. Neither group with two or more
+    sequences lies in consecutive rows.
+    """
+    rng = np.random.default_rng(31)
+    rows = [rng.integers(0, config.vocab_size, n) for n in (6, 3, 6, 5, 3, 6)]
+    ids, lengths = model.pad_rows(rows, fill=1)
+    delta = np.zeros(ids.shape, dtype=bool)
+    for i, slots in enumerate([[4, 1], [2], [], [], [], [0, 5, 2]]):
+        delta[i, slots] = True
+    labels = rng.integers(0, config.vocab_size, int(delta.sum()))
+    return rows, (ids, lengths, delta, labels)
+
+
+@pytest.mark.parametrize("config", [TINY_ONE_LAYER, TINY], ids=["1-layer", "2-layer"])
+def test_uneven_read_rows_loss_matches_single_rows(config):
+    # float64: the loss over an uneven read-row block equals -log p[label]
+    # read from each row's unpadded all-rows `forward`.
+    params = tiny_params(seed=16, config=config)
+    rows, (ids, lengths, delta, labels) = uneven_read_rows_batch(config)
+    want, label = [], iter(labels)
+    for row, slots in zip(rows, delta):
+        out = forward(params, row, collect_attention=False)
+        want.extend(-math.log(softmax_position(out, t)[next(label)]) for t in np.flatnonzero(slots))
+    loss, _ = loss_and_grads(params, ids, lengths, delta, labels)
+    ce_sum, n = eval_loss(params, ids, lengths, delta, labels)
+    assert n == len(want) == 6
+    assert abs(loss - np.mean(want)) < 1e-10
+    assert abs(ce_sum - np.sum(want)) < 1e-10
+
+
+@pytest.mark.parametrize("config", [TINY_ONE_LAYER, TINY], ids=["1-layer", "2-layer"])
+def test_uneven_read_rows_finite_difference_gradients(config):
+    _, batch = uneven_read_rows_batch(config)
+    _check_sampled_finite_differences(tiny_params(seed=17, config=config), batch,
+                                      np.random.default_rng(4))
 
 
 def test_eval_loss_mean_matches_training_loss_in_float32():
@@ -458,18 +503,21 @@ def test_eval_loss_empty_targets_is_zero():
 def test_sampled_finite_difference_gradients():
     # Smoke-level FD check on a few coordinates per tensor; the acceptance
     # suite sweeps every coordinate. The 1-layer model checks the last layer
-    # (run after attention at the targeted rows only) as the whole stack.
+    # (queries and all after them at the targeted rows only) as the whole stack.
     for config in (TINY, TINY_ONE_LAYER):
-        _check_sampled_finite_differences(tiny_params(seed=5, config=config))
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, config.vocab_size, (2, 7))
+        lengths = np.array([7, 5])
+        delta = np.zeros((2, 7), bool)
+        delta[0, 2] = delta[0, 5] = delta[1, 1] = True
+        labels = rng.integers(0, config.vocab_size, 3)
+        _check_sampled_finite_differences(tiny_params(seed=5, config=config),
+                                          (ids, lengths, delta, labels), rng)
 
 
-def _check_sampled_finite_differences(params):
-    rng = np.random.default_rng(3)
-    ids = rng.integers(0, params.config.vocab_size, (2, 7))
-    lengths = np.array([7, 5])
-    delta = np.zeros((2, 7), bool)
-    delta[0, 2] = delta[0, 5] = delta[1, 1] = True
-    labels = rng.integers(0, params.config.vocab_size, 3)
+def _check_sampled_finite_differences(params, batch, rng):
+    """Central differences at 3 coordinates per tensor, drawn from rng, against loss_and_grads."""
+    ids, lengths, delta, labels = batch
     _, grads = loss_and_grads(params, ids, lengths, delta, labels)
     eps = 1e-5
     for name, arr in params.named_tensors():
