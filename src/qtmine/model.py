@@ -455,12 +455,10 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
     of equal-length sequences.
     """
     cfg = params.config
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+    grads = {}
     tokens = cache["tokens"]
 
-    dh, dgf, dbf = _ln_bwd(dhf, cache["final_ln"])
-    grads["final_ln_g"] += dgf
-    grads["final_ln_b"] += dbf
+    dh, grads["final_ln_g"], grads["final_ln_b"] = _ln_bwd(dhf, cache["final_ln"])
 
     scale = cache["scale"]
     for i in reversed(range(cfg.n_layers)):
@@ -469,38 +467,36 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         prefix = f"layers.{i}."
 
         # Feed-forward sub-block (residual: h_out = h_mid + ffn(v_in)).
-        grads[prefix + "w2"] += lcache["f2"].T @ dh
-        grads[prefix + "b2"] += dh.sum(axis=0)
+        grads[prefix + "w2"] = lcache["f2"].T @ dh
+        grads[prefix + "b2"] = dh.sum(axis=0)
         df1 = (dh @ layer["w2"].T) * _gelu_grad(lcache["f1"], lcache["cdf"])
-        grads[prefix + "w1"] += lcache["v_in"].T @ df1
-        grads[prefix + "b1"] += df1.sum(axis=0)
-        dh_mid, dg2, db2 = _ln_bwd(df1 @ layer["w1"].T, lcache["ln2"])
-        grads[prefix + "ln2_g"] += dg2
-        grads[prefix + "ln2_b"] += db2
+        grads[prefix + "w1"] = lcache["v_in"].T @ df1
+        grads[prefix + "b1"] = df1.sum(axis=0)
+        dh_mid, grads[prefix + "ln2_g"], grads[prefix + "ln2_b"] = _ln_bwd(df1 @ layer["w1"].T, lcache["ln2"])
         dh_mid = dh_mid + dh
 
         # Attention sub-block (residual: h_mid = h_in + attn(u)), queries at q_rows.
-        grads[prefix + "wo"] += lcache["ctx"].T @ dh_mid
-        grads[prefix + "bo"] += dh_mid.sum(axis=0)
+        grads[prefix + "wo"] = lcache["ctx"].T @ dh_mid
+        grads[prefix + "bo"] = dh_mid.sum(axis=0)
         dctx = dh_mid @ layer["wo"].T
         u, q_rows = lcache["u"], lcache["q_rows"]
         dq, dk, dv = _attention_bwd(dctx, tokens.size, cache["groups"], lcache["queries"],
                                     lcache["blocks"], scale, cfg.n_heads)
         for name, x, dx in (("q", u[q_rows], dq), ("k", u, dk), ("v", u, dv)):
-            grads[prefix + "w" + name] += x.T @ dx
-            grads[prefix + "b" + name] += dx.sum(axis=0)
+            grads[prefix + "w" + name] = x.T @ dx
+            grads[prefix + "b" + name] = dx.sum(axis=0)
         du = dk @ layer["wk"].T + dv @ layer["wv"].T
         du[q_rows] += dq @ layer["wq"].T
-        dh, dg1, db1 = _ln_bwd(du, lcache["ln1"])
-        grads[prefix + "ln1_g"] += dg1
-        grads[prefix + "ln1_b"] += db1
+        dh, grads[prefix + "ln1_g"], grads[prefix + "ln1_b"] = _ln_bwd(du, lcache["ln1"])
         dh[q_rows] += dh_mid
 
     # The embedding gradient: the rows of each token id, summed in row order.
     order = np.argsort(tokens, kind="stable")
     sorted_tokens = tokens[order]
     firsts = np.flatnonzero(np.diff(sorted_tokens, prepend=-1))
-    grads["emb"][sorted_tokens[firsts]] += np.add.reduceat(dh[order], firsts, axis=0)
+    grads["emb"] = np.zeros_like(params.emb)
+    grads["emb"][sorted_tokens[firsts]] = np.add.reduceat(dh[order], firsts, axis=0)
+    grads["pos"] = np.zeros_like(params.pos)
     for g, n, rows in cache["groups"]:
         grads["pos"][:n] += dh[rows].reshape(g, n, -1).sum(axis=0)
     return grads
@@ -627,7 +623,7 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     dz /= n_targeted
     grads = _backward_core(params, cache, dz @ params.emb)
     grads["emb"] += dz.T @ rows
-    grads["out_bias"] += dz.sum(axis=0)
+    grads["out_bias"] = dz.sum(axis=0)
     return ce, grads
 
 
