@@ -27,8 +27,8 @@ from . import model as M
 from . import qt as Q
 from . import train as T
 from .config import RunConfig, apply_overrides, load_config
-from .corpus import (DocumentSet, load_aliases, load_analogies, load_approvals,
-                     load_corpus, load_trials)
+from .corpus import (YEAR_MAX, YEAR_MIN, DocumentSet, load_aliases, load_analogies,
+                     load_approvals, load_corpus, load_trials)
 from .errors import DataFormatError, QtmineError
 from .tokenizer import load_vocab, save_vocab, train_bpe
 from .util import csv_bytes, get_logger, kv, read_text, setup_logging, write_atomic
@@ -62,13 +62,18 @@ def _load_aliases(cfg: RunConfig):
 
 
 def _parse_years(spec: str) -> list[int]:
+    """`lo:hi` (inclusive) or a comma list as sorted cutoff years, each within
+    YEAR_MIN..YEAR_MAX; the bounds are checked before a range is built."""
     try:
-        if ":" in spec:
-            lo, hi = spec.split(":", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return sorted({int(y) for y in spec.split(",")})
+        years = [int(y) for y in (spec.split(":", 1) if ":" in spec else spec.split(","))]
     except ValueError:
-        raise DataFormatError(f"--years must be like 2005:2016 or 2005,2010, got {spec!r}") from None
+        years = []
+    if not years or min(years) < YEAR_MIN or max(years) > YEAR_MAX:
+        raise DataFormatError(f"--years must be like 2005:2016 or 2005,2010, "
+                              f"years in {YEAR_MIN}..{YEAR_MAX}, got {spec!r}")
+    if ":" in spec:
+        years = range(years[0], years[1] + 1)
+    return sorted(set(years))
 
 
 def _print_score(label: str, score: Q.QtScore) -> None:
@@ -330,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("fc", help="forward-chaining year-by-year validation")
-    p.add_argument("--years", required=True, help="e.g. 2005:2016 or 2005,2010")
+    p.add_argument("--years", required=True,
+                   help=f"e.g. 2005:2016 or 2005,2010, years in {YEAR_MIN}..{YEAR_MAX}")
     p.add_argument("--target")
     p.add_argument("--outdir")
     p.add_argument("--no-retrain", dest="no_retrain", action="store_true",

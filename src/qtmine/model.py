@@ -8,9 +8,10 @@ float64 (`Params.astype`) is what lets that oracle pass tight tolerances. The
 forward pass keeps GELU's normal CDF in the layer cache, so the backward pass
 does not evaluate `erf` again.
 
-Training and evaluation share one loss head (`_mlm_head`): the vocabulary
-projection and the cross-entropy run at the targeted positions only, and
-`loss_and_grads` adds the backward pass that `eval_loss` skips.
+Training and evaluation share one loss head (`_mlm_head`): it packs only the
+windows that hold a target, the vocabulary projection and the cross-entropy
+run at the targeted positions only, and `loss_and_grads` adds the backward
+pass that `eval_loss` skips.
 
 The last layer runs only at the rows its caller reads (`out_rows` of
 `_forward_core`): the targeted rows for the loss head, the requested
@@ -18,10 +19,10 @@ positions for `predict_masked`, every row for `forward`. Its keys and values
 cover every row, because every row is a key and a value; its queries, scores,
 softmax and attn @ v, and after attention the output projection, the
 residual, the second layer norm, the FFN and the final layer norm run on the
-read rows alone, and so does their backward pass. Per group of equal-length
+read rows alone, and so does their backward pass. Per run of equal-length
 sequences the read rows form a dense (g, n_heads, m, d_head) query block, m
 the most read rows of any sequence in it, with unused slots zero
-(`_query_layout`). No row dropped there feeds the loss or a probability, and
+(`_runs`). No row dropped there feeds the loss or a probability, and
 a zero slot's context is never read and sends no gradient, so the maths is
 that of the full pass; in float32 only the rounding of the smaller products
 differs.
@@ -31,11 +32,11 @@ every sequence back to back, (N, d_model), with the (B, S) layout of
 `loss_and_grads` and `eval_loss` only at their interface. The embedding sum,
 the layer norms, every projection, the FFN and GELU, and in the backward pass
 every weight gradient X.T @ dY and input gradient, run on the packed block.
-Attention runs once per group of equal-length sequences (`_groups`): the
-group's Q, K and V rows form a dense (g, n_heads, L, d_head) block, so the
-scores, the softmax and attn @ v need no mask, and the context rows go back to
-their packed places. Sequences of one length that lie next to each other are
-read as a view, not gathered. In float32 the packed products round
+The sequences are packed sorted by length, so each run of equal lengths is one
+slice of the packed rows and of the read rows. Attention runs once per run
+(`_runs`): its Q, K and V rows are a view, a dense (g, n_heads, L, d_head)
+block, so the scores, the softmax and attn @ v need no mask, and the context
+rows go back to their packed places. In float32 the packed products round
 differently from one product per sequence in the last bits (BLAS splits a sum
 over more rows into other partial sums, and may pick another kernel for a
 smaller product); `tests/test_model.py` bounds that difference against
@@ -44,7 +45,7 @@ unpadded rows, and `tests/test_train.py` the fixed-seed loss curve.
 Scoring reads the vocabulary distribution only where a query asks for it:
 `predict_masked` packs many sequences, sorted by length, into one batch and
 projects onto the vocabulary at the requested positions alone. `forward` runs
-one sequence, a single group, and serves the attention views; it is the
+one sequence, a single run, and serves the attention views; it is the
 tests' per-sequence reference.
 
 `tensor_shapes(config)` is the one list of tensor names and shapes. It is the
@@ -238,139 +239,107 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(g * n, h * dh)
 
 
-def _layout(ids: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """A (B, S) batch's validated (B,) lengths and the flat row-major indices
-    of its real tokens."""
-    b, s = ids.shape
-    lengths = np.asarray(lengths)
-    if lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer):
-        raise QtmineError(f"lengths must be {b} integers for a batch of {b} rows, got {lengths!r}")
-    if lengths.min() < 1 or lengths.max() > s:
-        raise QtmineError(f"lengths {lengths.tolist()} outside 1..{s}")
-    return lengths, np.flatnonzero(np.arange(s) < lengths[:, None])
+def _runs(lengths: np.ndarray, starts: np.ndarray, out_rows: np.ndarray | slice):
+    """(g, L, rows, reads) for each run of g adjacent sequences of length L.
 
-
-def _groups(lengths: np.ndarray, starts: np.ndarray) -> list[tuple[int, int, slice | np.ndarray]]:
-    """(count g, length L, packed rows) for each distinct sequence length.
-
-    The rows of a group whose sequences lie next to each other form a slice,
-    so reading them is a view rather than a gather.
+    A run's packed rows are the slice `rows`; with `lengths` sorted, each
+    length is one run. reads is None when `out_rows` is a slice (every row is
+    read). Otherwise it is (src, dst, m): src the slice of `out_rows` that
+    falls in the run, which holds each sequence's read rows together,
+    sequences in packed order; dst their flat places slot·m + rank in a
+    (g, n_heads, m, d_head) query block (slot: the sequence within the run;
+    rank: the read row within the sequence); and m the most read rows of any
+    sequence in the run, 0 if none.
     """
+    new_run = np.diff(lengths, prepend=0) != 0
+    run_first = np.flatnonzero(new_run)                                # each run's first sequence
+    bounds = run_first.tolist() + [lengths.size]
+    every = isinstance(out_rows, slice)
+    if not every:
+        seq = np.searchsorted(starts, out_rows, side="right") - 1      # sequence of each read row
+        per_seq = np.bincount(seq, minlength=lengths.size)
+        firsts = np.concatenate(([0], np.cumsum(per_seq)))             # each sequence's first read
+        m = np.maximum.reduceat(per_seq, run_first)
+        run = (np.cumsum(new_run) - 1)[seq]                            # run of each read row
+        slot, rank = seq - run_first[run], np.arange(seq.size) - firsts[seq]
+        dst = slot * m[run] + rank
+        firsts, m = firsts.tolist(), m.tolist()
     out = []
-    for n in np.unique(lengths).tolist():
-        seqs = np.flatnonzero(lengths == n)
-        if seqs[-1] - seqs[0] + 1 == seqs.size:
-            first = int(starts[seqs[0]])
-            rows = slice(first, first + seqs.size * n)
-        else:
-            rows = (starts[seqs][:, None] + np.arange(n)).reshape(-1)
-        out.append((seqs.size, n, rows))
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        g, n, start = hi - lo, int(lengths[lo]), int(starts[lo])
+        reads = None
+        if not every:
+            src = slice(firsts[lo], firsts[hi])
+            reads = (src, dst[src], m[r])
+        out.append((g, n, slice(start, start + g * n), reads))
     return out
 
 
-def _query_layout(lengths: np.ndarray, starts: np.ndarray, out_rows: np.ndarray):
-    """Where each group's read rows sit in its (g, n_heads, m, d_head) query block.
+def _to_block(x: np.ndarray, rows: slice, reads, g: int, n_heads: int) -> np.ndarray:
+    """A run's query-side rows as a (g, n_heads, m, d_head) block.
 
-    Returns one (src, dst, m) per group of `_groups`, in its order: src
-    indexes the entries of `out_rows` (the queries, in read order) that fall
-    in the group, dst their flat places slot·m + rank in the block (slot: the
-    sequence within the group; rank: the read row within the sequence), and m
-    the most read rows of any sequence in the group, 0 if it has none. Built
-    with index arithmetic over the whole batch, not per sequence.
-    """
-    b = lengths.size
-    seq = np.searchsorted(starts, out_rows, side="right") - 1      # sequence of each read row
-    per_seq = np.bincount(seq, minlength=b)
-    by_seq = np.argsort(seq, kind="stable")
-    rank = np.empty_like(seq)
-    rank[by_seq] = np.arange(seq.size) - np.repeat(np.cumsum(per_seq) - per_seq, per_seq)
-
-    by_len = np.argsort(lengths, kind="stable")                     # `_groups` order of sequences
-    sorted_lengths = lengths[by_len]
-    new = np.ones(b, dtype=bool)                                    # the first of each group
-    new[1:] = sorted_lengths[1:] != sorted_lengths[:-1]
-    group_first = np.flatnonzero(new)
-    group = np.empty(b, dtype=np.int64)
-    group[by_len] = np.cumsum(new) - 1
-    slot = np.empty(b, dtype=np.int64)
-    slot[by_len] = np.arange(b) - group_first[group[by_len]]
-    m = np.maximum.reduceat(per_seq[by_len], group_first)
-
-    row_group = group[seq]
-    dst = slot[seq] * m[row_group] + rank
-    by_group = np.argsort(row_group, kind="stable")
-    bounds = np.cumsum(np.bincount(row_group, minlength=group_first.size)).tolist()
-    out, lo = [], 0
-    for m_g, hi in zip(m.tolist(), bounds):
-        src = by_group[lo:hi]
-        out.append((src, dst[src], m_g))
-        lo = hi
-    return out
-
-
-def _to_block(x: np.ndarray, rows, src, dst, g: int, m: int, n_heads: int) -> np.ndarray:
-    """A group's query-side rows as a (g, n_heads, m, d_head) block.
-
-    With src None, x holds every packed row and the block is x[rows]; else x
-    holds the read rows, and x[src] goes to the block's `dst` places, zero
+    With reads None, x holds every packed row and the block is x[rows]; else
+    x holds the read rows, and x[src] goes to the block's `dst` places, zero
     elsewhere.
     """
-    if src is None:
+    if reads is None:
         return _split_heads(x[rows], g, n_heads)
+    src, dst, m = reads
     block = np.zeros((g * m, x.shape[1]), dtype=x.dtype)
     block[dst] = x[src]
     return _split_heads(block, g, n_heads)
 
 
-def _from_block(block: np.ndarray, out: np.ndarray, rows, src, dst) -> None:
+def _from_block(block: np.ndarray, out: np.ndarray, rows: slice, reads) -> None:
     """Write a (g, n_heads, m, d_head) query-side block back to `out`'s rows (`_to_block` undone)."""
-    if src is None:
+    if reads is None:
         out[rows] = _merge_heads(block)
     else:
-        out[src] = _merge_heads(block)[dst]
+        out[reads[0]] = _merge_heads(block)[reads[1]]
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, groups, queries, scale, n_heads: int):
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, runs, at_reads: bool, scale, n_heads: int):
     """Context rows for the query rows `q`, one per row of q, and the blocks the backward pass reads.
 
-    k and v hold every packed row. `queries` holds one (src, dst, m) per
-    group: `_query_layout`'s for read rows, or (None, None, L) when q holds
-    every packed row and a group's query block is its own rows. Each group's
-    queries are scored against its own keys, with no mask: an unused query
-    slot is zero, and its context is never read. A group with no query row is
-    skipped (its block is None).
+    k and v hold every packed row; q holds every packed row too, or, with
+    `at_reads`, the read rows of `_runs`. Each run's queries are scored
+    against its own keys, with no mask: an unused query slot is zero, and its
+    context is never read. A run with no query row is skipped (its block is
+    None).
     """
     ctx = np.empty_like(q)
     blocks = []
-    for (g, _, rows), (src, dst, m) in zip(groups, queries):
-        if m == 0:
+    for g, _, rows, reads in runs:
+        reads = reads if at_reads else None
+        if reads is not None and reads[2] == 0:
             blocks.append(None)
             continue
-        qg = _to_block(q, rows, src, dst, g, m, n_heads)
+        qg = _to_block(q, rows, reads, g, n_heads)
         kg, vg = (_split_heads(x[rows], g, n_heads) for x in (k, v))
         attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale)
-        _from_block(attn @ vg, ctx, rows, src, dst)
+        _from_block(attn @ vg, ctx, rows, reads)
         blocks.append((qg, kg, vg, attn))
     return ctx, blocks
 
 
-def _attention_bwd(dctx: np.ndarray, n_rows: int, groups, queries, blocks, scale, n_heads: int):
+def _attention_bwd(dctx: np.ndarray, n_rows: int, runs, at_reads: bool, blocks, scale, n_heads: int):
     """(dq, dk, dv) from the context gradient at the query rows: dq at the
     query rows, dk and dv at all `n_rows` packed rows.
 
     An unused query slot has a zero context gradient, so it adds nothing to
-    dk or dv; a group with no query row adds nothing at all.
+    dk or dv; a run with no query row adds nothing at all.
     """
     dq = np.empty_like(dctx)
     dk, dv = (np.zeros((n_rows, dctx.shape[1]), dtype=dctx.dtype) for _ in range(2))
-    for (g, _, rows), (src, dst, m), block in zip(groups, queries, blocks):
+    for (g, _, rows, reads), block in zip(runs, blocks):
         if block is None:
             continue
+        reads = reads if at_reads else None
         q, k, v, attn = block
-        dctx_g = _to_block(dctx, rows, src, dst, g, m, n_heads)
+        dctx_g = _to_block(dctx, rows, reads, g, n_heads)
         dattn = dctx_g @ v.transpose(0, 1, 3, 2)
         dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-        _from_block((dscores @ k) * scale, dq, rows, src, dst)
+        _from_block((dscores @ k) * scale, dq, rows, reads)
         dk[rows] = _merge_heads((dscores.transpose(0, 1, 3, 2) @ q) * scale)
         dv[rows] = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx_g)
     return dq, dk, dv
@@ -378,22 +347,25 @@ def _attention_bwd(dctx: np.ndarray, n_rows: int, groups, queries, blocks, scale
 
 def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
                   out_rows: np.ndarray | slice, need_cache: bool):
-    """Shared forward pass over sequences packed back to back.
+    """Shared forward pass over sequences packed back to back, sorted by length.
 
     `tokens` (N,) holds the ids of B sequences of the given (B,) `lengths`, one
-    after the other. `out_rows` indexes the packed rows whose final hidden
-    state the caller reads, in the order it reads them (an integer array, or a
-    slice for every row); a row may be read more than once. Every layer but
-    the last runs on all N rows. The last projects keys and values at all of
-    them, since every row is a key and a value, but its queries, and so its
-    scores, softmax and attn @ v, and everything after attention (the output
-    projection, the residual, the second layer norm, the FFN and the final
-    layer norm) at `out_rows` only: no other row feeds what the caller reads.
+    after the other, sorted by length, so that all the sequences of one length
+    form one run, one slice of the packed rows (`_runs`), and share one
+    attention call. `out_rows` indexes the packed rows whose final hidden
+    state the caller reads, in the order it reads them: an integer array that
+    holds each sequence's read rows together, sequences in packed order, or a
+    slice for every row. A row may be read more than once. Every layer but
+    the last runs on all N rows. The last
+    projects keys and values at all of them, since every row is a key and a
+    value, but its queries, and so its scores, softmax and attn @ v, and
+    everything after attention (the output projection, the residual, the
+    second layer norm, the FFN and the final layer norm) at `out_rows` only:
+    no other row feeds what the caller reads.
     Returns (hf, attn, cache): hf the final hidden rows at `out_rows`,
     (len(out_rows), d_model), and attn, per layer, the attention maps of each
-    group of equal-length sequences (`_groups`): (g, n_heads, L, L) for every
-    row, and in the last layer (g, n_heads, m, L) for the read rows of
-    `_query_layout`, None for a group with no read row.
+    run: (g, n_heads, L, L) for every row, and in the last layer
+    (g, n_heads, m, L) for the read rows, None for a run with no read row.
     """
     cfg = params.config
     if lengths.max() > cfg.max_seq:
@@ -401,22 +373,20 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise QtmineError(f"token id out of range for vocab_size {cfg.vocab_size}")
     starts = np.cumsum(lengths) - lengths
-    groups = _groups(lengths, starts)
-    every_row = [(None, None, n) for _, n, _ in groups]
-    read_rows = every_row if isinstance(out_rows, slice) else _query_layout(lengths, starts, out_rows)
+    runs = _runs(lengths, starts, out_rows)
     positions = np.arange(tokens.size) - np.repeat(starts, lengths)
     h = params.emb[tokens] + params.pos[positions]
     scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=params.dtype))
 
-    cache = {"tokens": tokens, "groups": groups, "layers": []} if need_cache else None
+    cache = {"tokens": tokens, "runs": runs, "layers": []} if need_cache else None
     attn_maps = []
     for i, layer in enumerate(params.layers):
         last = i == cfg.n_layers - 1
-        queries, q_rows = (read_rows, out_rows) if last else (every_row, slice(None))
+        q_rows = out_rows if last else slice(None)
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
         q = u[q_rows] @ layer["wq"] + layer["bq"]
         k, v = (u @ layer["w" + name] + layer["b" + name] for name in "kv")
-        ctx, blocks = _attention(q, k, v, groups, queries, scale, cfg.n_heads)
+        ctx, blocks = _attention(q, k, v, runs, last, scale, cfg.n_heads)
         h = h[q_rows]
         o = ctx @ layer["wo"] + layer["bo"]
         h_mid = h + o
@@ -431,7 +401,7 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
         attn_maps.append([None if block is None else block[3] for block in blocks])
         if need_cache:
             cache["layers"].append({
-                "ln1": ln1_cache, "u": u, "queries": queries, "q_rows": q_rows, "blocks": blocks,
+                "ln1": ln1_cache, "u": u, "q_rows": q_rows, "blocks": blocks,
                 "ctx": ctx, "ln2": ln2_cache, "v_in": v_in, "f1": f1, "cdf": cdf, "f2": f2,
             })
         h = h_out
@@ -451,8 +421,8 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
     attention products: dq and its share of the layer-norm input gradient
     exist only there, while dk and dv reach every packed row, and the
     residual gradient goes back to the read rows' packed places. Every other
-    product runs on the packed rows, except attention's, which run per group
-    of equal-length sequences.
+    product runs on the packed rows, except attention's, which run per run of
+    equal-length sequences.
     """
     cfg = params.config
     grads = {}
@@ -480,7 +450,7 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         grads[prefix + "bo"] = dh_mid.sum(axis=0)
         dctx = dh_mid @ layer["wo"].T
         u, q_rows = lcache["u"], lcache["q_rows"]
-        dq, dk, dv = _attention_bwd(dctx, tokens.size, cache["groups"], lcache["queries"],
+        dq, dk, dv = _attention_bwd(dctx, tokens.size, cache["runs"], i == cfg.n_layers - 1,
                                     lcache["blocks"], scale, cfg.n_heads)
         for name, x, dx in (("q", u[q_rows], dq), ("k", u, dk), ("v", u, dv)):
             grads[prefix + "w" + name] = x.T @ dx
@@ -497,7 +467,7 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
     grads["emb"] = np.zeros_like(params.emb)
     grads["emb"][sorted_tokens[firsts]] = np.add.reduceat(dh[order], firsts, axis=0)
     grads["pos"] = np.zeros_like(params.pos)
-    for g, n, rows in cache["groups"]:
+    for g, n, rows, _ in cache["runs"]:
         grads["pos"][:n] += dh[rows].reshape(g, n, -1).sum(axis=0)
     return grads
 
@@ -549,7 +519,7 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
     Entry i of the result is a (len(positions[i]), vocab_size) array whose rows
     are the probability vectors at positions[i] of seqs[i]. Sequences are
     sorted by (length, ids) and packed, PREDICT_BATCH at a time, back to back
-    with no padding, so equal-length sequences lie next to each other and
+    with no padding, as `_forward_core` takes them, so equal-length sequences
     share one attention call; the last layer's queries and everything after
     them, and the vocabulary head, run at the requested positions only.
     Because the batches depend only on the set of sequences, each result is
@@ -582,11 +552,13 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
 def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     """The masked-LM loss head shared by training and evaluation.
 
-    Packs the real tokens of the (B, S) batch, runs them through the stack,
-    the last layer's queries and all after them at the `delta` positions
-    only, and projects those final hidden rows onto the vocabulary. Returns the
-    per-target cross-entropy log Σexp(z − zmax) − (z_label − zmax) and, with
-    `need_grads`, the gradients of its mean (otherwise None).
+    Packs the real tokens of the (B, S) batch's rows that hold a target,
+    sorted by length (a row with none attends only to itself, so it feeds no
+    loss term and no gradient), runs them through the stack, the last layer's
+    queries and all after them at the `delta` positions only, and projects
+    those final hidden rows onto the vocabulary. Returns the per-target
+    cross-entropy log Σexp(z − zmax) − (z_label − zmax), in packed order, and,
+    with `need_grads`, the gradients of its mean (otherwise None).
     """
     ids = np.asarray(ids, dtype=np.int64)
     delta = np.asarray(delta, dtype=bool)
@@ -598,17 +570,28 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
         raise QtmineError(f"{labels.shape[0]} labels for {n_targeted} targeted positions")
     if labels.size and (labels.min() < 0 or labels.max() >= params.config.vocab_size):
         raise QtmineError(f"label out of range for vocab_size {params.config.vocab_size}")
-    lengths, slots = _layout(ids, lengths)
-    targets = delta.reshape(-1)[slots]                # (N,) over the packed rows
-    if int(targets.sum()) != n_targeted:
+    b, s = ids.shape
+    lengths = np.asarray(lengths)
+    if lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer):
+        raise QtmineError(f"lengths must be {b} integers for a batch of {b} rows, got {lengths!r}")
+    if lengths.min() < 1 or lengths.max() > s:
+        raise QtmineError(f"lengths {lengths.tolist()} outside 1..{s}")
+    real = np.arange(s) < lengths[:, None]
+    if (delta & ~real).any():
         raise QtmineError("a targeted position lies at or past its row's length")
     if n_targeted == 0:
         if need_grads:
             raise QtmineError("batch has no targeted positions")
         return np.zeros(0, dtype=params.dtype), None
 
-    read = np.flatnonzero(targets)                    # the targeted packed rows, (T,)
-    rows, _, cache = _forward_core(params, ids.reshape(-1)[slots], lengths, read, need_cache=need_grads)
+    keep = np.flatnonzero(delta.any(axis=1))
+    order = keep[np.argsort(lengths[keep], kind="stable")]
+    grid = np.zeros(ids.shape, dtype=np.int64)        # labels carried along with their rows
+    grid[delta] = labels
+    real, delta = real[order], delta[order]
+    labels = grid[order][delta]
+    read = np.flatnonzero(delta[real])                # the targeted packed rows, (T,)
+    rows, _, cache = _forward_core(params, ids[order][real], lengths[order], read, need_cache=need_grads)
     z = _vocab_logits(params, rows)                   # (T, V)
     z -= z.max(axis=-1, keepdims=True)
     ez = np.exp(z)

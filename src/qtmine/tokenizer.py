@@ -95,22 +95,15 @@ class Vocab:
         return self.tokens[token_id].decode("utf-8", errors="replace")
 
     def validate(self) -> None:
-        if len(self.tokens) < N_BYTES + len(SPECIAL_NAMES):
-            raise DataFormatError(f"vocab too small: {len(self.tokens)} tokens")
-        for b in range(N_BYTES):
-            if self.tokens[b] != bytes([b]):
-                raise DataFormatError(f"byte token {b} missing or misplaced")
-        ids = sorted(self.special.values())
-        if len(set(ids)) != len(SPECIAL_NAMES) or set(self.special) != set(SPECIAL_NAMES):
-            raise DataFormatError("special ids must be mutually distinct and complete")
-        for sid in ids:
-            if not 0 <= sid < len(self.tokens):
-                raise DataFormatError(f"special id {sid} out of range")
-        first_merged = N_BYTES + len(SPECIAL_NAMES)
+        """Check the fixed layout: the 256 bytes, the special markers at their
+        ids, then one token per merge, each the bytes of its pair."""
+        base = _empty_vocab()
+        if self.tokens[:base.size] != base.tokens or self.special != base.special:
+            raise DataFormatError("the table must open with the 256 bytes, then the special markers at their ids")
+        if len(self.tokens) != base.size + len(self.merges):
+            raise DataFormatError(f"{len(self.tokens)} tokens for {len(self.merges)} merges")
         for i, (a, b) in enumerate(self.merges):
-            out = first_merged + i
-            if out >= len(self.tokens):
-                raise DataFormatError(f"merge {i} output id {out} missing from table")
+            out = base.size + i
             if a >= out or b >= out:
                 raise DataFormatError(f"merge {i} refers to a later token ({a},{b})")
             if a in self.special_ids or b in self.special_ids:

@@ -45,7 +45,8 @@ def test_parse_years_comma_list_sorts_and_dedups():
     assert _parse_years("1999") == [1999]
 
 
-@pytest.mark.parametrize("spec", ["abc", "2005:x", "2005,,2010", ""])
+@pytest.mark.parametrize("spec", ["abc", "2005:x", "2005,,2010", "", "1800:1801", "2150",
+                                  "0:2000000000"])
 def test_parse_years_rejects_non_years(spec):
     with pytest.raises(DataFormatError, match="--years"):
         _parse_years(spec)
@@ -717,6 +718,8 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
                 "--query", "x <mask>"]
     if case == "years-not-a-number":
         return ["--config", config, "fc", "--years", "abc", "--outdir", str(tmp_path)]
+    if case == "fc-years-out-of-range":
+        return ["--config", config, "fc", "--years", "1800:1801", "--outdir", str(tmp_path / "out")]
     if case == "max-steps-zero":
         return ["--config", config, *train, "--max-steps", "0"]
     if case == "max-steps-negative":
@@ -789,6 +792,7 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("qt-target-empty", "EvalError"),
     ("fc-target-empty", "EvalError"),
     ("fc-template-no-slot", "TemplateError"),
+    ("fc-years-out-of-range", "DataFormatError"),
 ])
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))

@@ -315,6 +315,24 @@ def test_uneven_read_rows_finite_difference_gradients(config):
                                       np.random.default_rng(4))
 
 
+def test_loss_head_packs_only_the_windows_that_hold_a_target(monkeypatch):
+    # A window with no target attends only to itself, so it feeds no loss
+    # term and no gradient: the loss head does not run it through the stack.
+    params = tiny_params(seed=16)
+    _, (ids, lengths, delta, labels) = uneven_read_rows_batch(TINY)
+    packed = []
+    real_core = model._forward_core
+
+    def counting_core(params, tokens, *args, **kwargs):
+        packed.append(tokens.size)
+        return real_core(params, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward_core", counting_core)
+    loss_and_grads(params, ids, lengths, delta, labels)
+    eval_loss(params, ids, lengths, delta, labels)
+    assert packed == [6 + 3 + 6] * 2        # rows 0, 1 and 5 hold the targets
+
+
 def test_eval_loss_mean_matches_training_loss_in_float32():
     params = tiny_params(seed=9, dtype=np.float32)
     rng = np.random.default_rng(2)

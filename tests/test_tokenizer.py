@@ -5,6 +5,8 @@ reference implementation (quadratic rescans, no heap, no caching) so that a
 bookkeeping bug in the fast path cannot hide.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,17 @@ def test_load_vocab_unreadable_file_is_a_data_format_error(tmp_path):
         load_vocab(path)
 
 
+def test_load_vocab_rejects_a_special_id_outside_its_slot(tmp_path):
+    vocab = train_bpe(SMALL_CORPUS, 300)
+    path = tmp_path / "vocab.json"
+    save_vocab(vocab, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["special"]["mask"] = ord("A")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        load_vocab(path)
+
+
 def test_decode_renders_special_markers():
     vocab = train_bpe(SMALL_CORPUS, 300)
     shown = decode(vocab, [vocab.bos_id, ord("h"), ord("i"), vocab.mask_id, vocab.eos_id])
@@ -287,3 +300,13 @@ def test_validate_catches_corruption():
                 merges=vocab.merges + [(0, 0)], special=vocab.special)
     with pytest.raises(DataFormatError):
         dup.validate()
+    # A special id that points at a merge output would make encode() emit a
+    # "<mask>" for ordinary text.
+    moved = Vocab(tokens=vocab.tokens, merges=vocab.merges,
+                  special={**vocab.special, "mask": vocab.size - 1})
+    with pytest.raises(DataFormatError):
+        moved.validate()
+    # A token that no merge produces.
+    extra = Vocab(tokens=vocab.tokens + [b"zz"], merges=vocab.merges, special=vocab.special)
+    with pytest.raises(DataFormatError):
+        extra.validate()

@@ -225,13 +225,15 @@ def test_train_is_bit_reproducible(small_vocab):
 # groups and the weight gradients to packed rows: those sums round differently
 # in the last bits, while the run's curve (GOLDEN_CURVE) stayed the same. It
 # was re-recorded again when the last layer came to run after attention at the
-# targeted rows only and the embedding gradient to a sorted segmented sum, and
-# again when the last layer's queries and attention moved to those rows too.
+# targeted rows only and the embedding gradient to a sorted segmented sum,
+# again when the last layer's queries and attention moved to those rows too,
+# and again when the loss head came to pack only the windows that hold a
+# target, sorted by length.
 GOLDEN_VOCAB_SHA = "9ef75753ae4789f545c50a4a9f944d14e3415e950fff93d079fa94f6e57a58d9"
 GOLDEN_IDS_SHA = "edb3f8bd6be5e8ea3c61c6df6dbce26c64894d699416f2a3682db4da12550037"
 GOLDEN_CKPT_SHA = {
     "x86_64 scipy-openblas 0.3.31.188.0 AVX512_SPR":
-        "72297fb56924b8387a8dfba82fdedefcca53ba2fcb1e3417af3f143bf0500b3c",
+        "d85c93eebccb7a3d00838716f4b0409a42b1b1727734a7cfc87d409d3fdd62be",
 }
 # (step, loss, eval CE) of the same run in full precision, recorded by the
 # code whose checkpoint digest was 77203a7c…. A change that gives up
