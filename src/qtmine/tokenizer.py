@@ -99,7 +99,7 @@ class Vocab:
         ids, then one token per merge, each the bytes of its pair."""
         base = _empty_vocab()
         if self.tokens[:base.size] != base.tokens or self.special != base.special:
-            raise DataFormatError("the table must open with the 256 bytes, then the special markers at their ids")
+            raise DataFormatError("the table must open with the 256 bytes, then the special markers")
         if len(self.tokens) != base.size + len(self.merges):
             raise DataFormatError(f"{len(self.tokens)} tokens for {len(self.merges)} merges")
         for i, (a, b) in enumerate(self.merges):
