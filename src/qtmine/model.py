@@ -19,34 +19,33 @@ positions for `predict_masked`, every row for `forward`. Its keys and values
 cover every row, because every row is a key and a value; its queries, scores,
 softmax and attn @ v, and after attention the output projection, the
 residual, the second layer norm, the FFN and the final layer norm run on the
-read rows alone, and so does their backward pass. Per run of equal-length
-sequences the read rows form a dense (g, n_heads, m, d_head) query block, m
-the most read rows of any sequence in it, with unused slots zero
-(`_runs`). No row dropped there feeds the loss or a probability, and
-a zero slot's context is never read and sends no gradient, so the maths is
-that of the full pass; in float32 only the rounding of the smaller products
-differs.
+read rows alone, and so does their backward pass. No row dropped there
+feeds the loss or a probability, so the maths is that of the full pass; in
+float32 only the rounding of the smaller products differs.
 
 Batches are padding-free. The model runs on packed rows: the real tokens of
 every sequence back to back, (N, d_model), with the (B, S) layout of
 `loss_and_grads` and `eval_loss` only at their interface. The embedding sum,
 the layer norms, every projection, the FFN and GELU, and in the backward pass
 every weight gradient X.T @ dY and input gradient, run on the packed block.
-The sequences are packed sorted by length, so each run of equal lengths is one
-slice of the packed rows and of the read rows. Attention runs once per run
-(`_runs`): its Q, K and V rows are a view, a dense (g, n_heads, L, d_head)
-block, so the scores, the softmax and attn @ v need no mask, and the context
-rows go back to their packed places. In float32 the packed products round
-differently from one product per sequence in the last bits (BLAS splits a sum
-over more rows into other partial sums, and may pick another kernel for a
-smaller product); `tests/test_model.py` bounds that difference against
-unpadded rows, and `tests/test_train.py` the fixed-seed loss curve.
+The sequences are packed sorted by (length, number of read rows), each
+sequence's read rows together. Attention runs once per run of g sequences of
+one length L (`_runs`), in every layer alike: its keys and values are one
+slice of the packed rows, a (g, n_heads, L, d_head) view, and its queries one
+slice of the query rows, (g, n_heads, m, d_head), where m is L in every layer
+but the last and the read count there. The scores, the softmax and attn @ v
+need no mask and no padding, and the context rows go back to the same slice.
+In float32 the packed products round differently from one product per
+sequence in the last bits (BLAS splits a sum over more rows into other
+partial sums, and may pick another kernel for a smaller product);
+`tests/test_model.py` bounds that difference against unpadded rows, and
+`tests/test_train.py` the fixed-seed loss curve.
 
 Scoring reads the vocabulary distribution only where a query asks for it:
-`predict_masked` packs many sequences, sorted by length, into one batch and
-projects onto the vocabulary at the requested positions alone. `forward` runs
-one sequence, a single run, and serves the attention views; it is the
-tests' per-sequence reference.
+`predict_masked` packs many sequences, sorted by length and read count, into
+one batch and projects onto the vocabulary at the requested positions alone.
+`forward` runs one sequence, a single run, and serves the attention views; it
+is the tests' per-sequence reference.
 
 `tensor_shapes(config)` is the one list of tensor names and shapes. It is the
 checkpoint layout, and `Params.named_tensors`, `init_params`, `astype` and
@@ -239,124 +238,80 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(g * n, h * dh)
 
 
-def _runs(lengths: np.ndarray, starts: np.ndarray, out_rows: np.ndarray | slice):
-    """(g, L, rows, reads) for each run of g adjacent sequences of length L.
+def _runs(lengths: np.ndarray, out_rows: np.ndarray):
+    """Attention runs for every row and for the read rows: two lists of (g, q_at, kv_at).
 
-    A run's packed rows are the slice `rows`; with `lengths` sorted, each
-    length is one run. reads is None when `out_rows` is a slice (every row is
-    read). Otherwise it is (src, dst, m): src the slice of `out_rows` that
-    falls in the run, which holds each sequence's read rows together,
-    sequences in packed order; dst their flat places slot·m + rank in a
-    (g, n_heads, m, d_head) query block (slot: the sequence within the run;
-    rank: the read row within the sequence); and m the most read rows of any
-    sequence in the run, 0 if none.
+    A run is g adjacent sequences of one length L; kv_at is the slice of
+    their g·L packed rows. In the first list a run holds every sequence of
+    one length, and q_at = kv_at. In the second, for the read rows
+    `out_rows`, the g sequences also read the same number m ≥ 1 of rows, and
+    q_at is the slice of `out_rows` that holds their g·m read rows; a
+    sequence that reads nothing is in no run. Packed sorted by (length,
+    reads), each such class is one run.
     """
-    new_run = np.diff(lengths, prepend=0) != 0
-    run_first = np.flatnonzero(new_run)                                # each run's first sequence
-    bounds = run_first.tolist() + [lengths.size]
-    every = isinstance(out_rows, slice)
-    if not every:
-        seq = np.searchsorted(starts, out_rows, side="right") - 1      # sequence of each read row
-        per_seq = np.bincount(seq, minlength=lengths.size)
-        firsts = np.concatenate(([0], np.cumsum(per_seq)))             # each sequence's first read
-        m = np.maximum.reduceat(per_seq, run_first)
-        run = (np.cumsum(new_run) - 1)[seq]                            # run of each read row
-        slot, rank = seq - run_first[run], np.arange(seq.size) - firsts[seq]
-        dst = slot * m[run] + rank
-        firsts, m = firsts.tolist(), m.tolist()
-    out = []
-    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        g, n, start = hi - lo, int(lengths[lo]), int(starts[lo])
-        reads = None
-        if not every:
-            src = slice(firsts[lo], firsts[hi])
-            reads = (src, dst[src], m[r])
-        out.append((g, n, slice(start, start + g * n), reads))
-    return out
+    edges = np.concatenate(([0], np.cumsum(lengths)))              # each sequence's packed rows
+    seq = np.searchsorted(edges, out_rows, side="right") - 1       # sequence of each read row
+    reads = np.bincount(seq, minlength=lengths.size)
+    firsts = np.concatenate(([0], np.cumsum(reads)))               # each sequence's read rows
+    new_length = np.diff(lengths, prepend=0) != 0                  # where a run starts
+    new_reads = new_length | (np.diff(reads, prepend=-1) != 0)
+    kv_edges = edges.tolist()
+
+    def split(new, q_edges):
+        bounds, q_edges = np.flatnonzero(new).tolist() + [lengths.size], q_edges.tolist()
+        return [(hi - lo, slice(q_edges[lo], q_edges[hi]), slice(kv_edges[lo], kv_edges[hi]))
+                for lo, hi in zip(bounds, bounds[1:]) if q_edges[hi] > q_edges[lo]]
+
+    return split(new_length, edges), split(new_reads, firsts)
 
 
-def _to_block(x: np.ndarray, rows: slice, reads, g: int, n_heads: int) -> np.ndarray:
-    """A run's query-side rows as a (g, n_heads, m, d_head) block.
-
-    With reads None, x holds every packed row and the block is x[rows]; else
-    x holds the read rows, and x[src] goes to the block's `dst` places, zero
-    elsewhere.
-    """
-    if reads is None:
-        return _split_heads(x[rows], g, n_heads)
-    src, dst, m = reads
-    block = np.zeros((g * m, x.shape[1]), dtype=x.dtype)
-    block[dst] = x[src]
-    return _split_heads(block, g, n_heads)
-
-
-def _from_block(block: np.ndarray, out: np.ndarray, rows: slice, reads) -> None:
-    """Write a (g, n_heads, m, d_head) query-side block back to `out`'s rows (`_to_block` undone)."""
-    if reads is None:
-        out[rows] = _merge_heads(block)
-    else:
-        out[reads[0]] = _merge_heads(block)[reads[1]]
-
-
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, runs, at_reads: bool, scale, n_heads: int):
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, runs, scale, n_heads: int):
     """Context rows for the query rows `q`, one per row of q, and the blocks the backward pass reads.
 
-    k and v hold every packed row; q holds every packed row too, or, with
-    `at_reads`, the read rows of `_runs`. Each run's queries are scored
-    against its own keys, with no mask: an unused query slot is zero, and its
-    context is never read. A run with no query row is skipped (its block is
-    None).
+    k and v hold every packed row; q holds every packed row too, or the read
+    rows of `_runs`. Each run's queries are a dense (g, n_heads, m, d_head)
+    block, scored against its own keys with no mask.
     """
     ctx = np.empty_like(q)
     blocks = []
-    for g, _, rows, reads in runs:
-        reads = reads if at_reads else None
-        if reads is not None and reads[2] == 0:
-            blocks.append(None)
-            continue
-        qg = _to_block(q, rows, reads, g, n_heads)
-        kg, vg = (_split_heads(x[rows], g, n_heads) for x in (k, v))
+    for g, q_at, kv_at in runs:
+        qg, kg, vg = (_split_heads(x[at], g, n_heads) for x, at in ((q, q_at), (k, kv_at), (v, kv_at)))
         attn = stable_softmax((qg @ kg.transpose(0, 1, 3, 2)) * scale)
-        _from_block(attn @ vg, ctx, rows, reads)
+        ctx[q_at] = _merge_heads(attn @ vg)
         blocks.append((qg, kg, vg, attn))
     return ctx, blocks
 
 
-def _attention_bwd(dctx: np.ndarray, n_rows: int, runs, at_reads: bool, blocks, scale, n_heads: int):
+def _attention_bwd(dctx: np.ndarray, n_rows: int, runs, blocks, scale, n_heads: int):
     """(dq, dk, dv) from the context gradient at the query rows: dq at the
-    query rows, dk and dv at all `n_rows` packed rows.
-
-    An unused query slot has a zero context gradient, so it adds nothing to
-    dk or dv; a run with no query row adds nothing at all.
+    query rows, dk and dv at all `n_rows` packed rows (zero at a sequence
+    that reads nothing).
     """
     dq = np.empty_like(dctx)
     dk, dv = (np.zeros((n_rows, dctx.shape[1]), dtype=dctx.dtype) for _ in range(2))
-    for (g, _, rows, reads), block in zip(runs, blocks):
-        if block is None:
-            continue
-        reads = reads if at_reads else None
-        q, k, v, attn = block
-        dctx_g = _to_block(dctx, rows, reads, g, n_heads)
+    for (g, q_at, kv_at), (q, k, v, attn) in zip(runs, blocks):
+        dctx_g = _split_heads(dctx[q_at], g, n_heads)
         dattn = dctx_g @ v.transpose(0, 1, 3, 2)
         dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-        _from_block((dscores @ k) * scale, dq, rows, reads)
-        dk[rows] = _merge_heads((dscores.transpose(0, 1, 3, 2) @ q) * scale)
-        dv[rows] = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx_g)
+        dq[q_at] = _merge_heads((dscores @ k) * scale)
+        dk[kv_at] = _merge_heads((dscores.transpose(0, 1, 3, 2) @ q) * scale)
+        dv[kv_at] = _merge_heads(attn.transpose(0, 1, 3, 2) @ dctx_g)
     return dq, dk, dv
 
 
 def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
-                  out_rows: np.ndarray | slice, need_cache: bool):
-    """Shared forward pass over sequences packed back to back, sorted by length.
+                  out_rows: np.ndarray, need_cache: bool):
+    """Shared forward pass over sequences packed back to back.
 
     `tokens` (N,) holds the ids of B sequences of the given (B,) `lengths`, one
-    after the other, sorted by length, so that all the sequences of one length
-    form one run, one slice of the packed rows (`_runs`), and share one
-    attention call. `out_rows` indexes the packed rows whose final hidden
-    state the caller reads, in the order it reads them: an integer array that
-    holds each sequence's read rows together, sequences in packed order, or a
-    slice for every row. A row may be read more than once. Every layer but
-    the last runs on all N rows. The last
+    after the other. `out_rows` is the integer array of the packed rows whose
+    final hidden state the caller reads, in the order it reads them: each
+    sequence's read rows together, sequences in packed order (`np.arange(N)`
+    reads every row). A row may be read more than once. Packed sorted by
+    (length, number of read rows), the sequences of one length share one
+    attention call in every layer, and those that also read as many rows
+    share one in the last (`_runs`); any other order gives the same maths in
+    more, smaller calls. Every layer but the last runs on all N rows. The last
     projects keys and values at all of them, since every row is a key and a
     value, but its queries, and so its scores, softmax and attn @ v, and
     everything after attention (the output projection, the residual, the
@@ -365,28 +320,26 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     Returns (hf, attn, cache): hf the final hidden rows at `out_rows`,
     (len(out_rows), d_model), and attn, per layer, the attention maps of each
     run: (g, n_heads, L, L) for every row, and in the last layer
-    (g, n_heads, m, L) for the read rows, None for a run with no read row.
+    (g, n_heads, m, L) for the g·m read rows.
     """
     cfg = params.config
     if lengths.max() > cfg.max_seq:
         raise QtmineError(f"sequence length {lengths.max()} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise QtmineError(f"token id out of range for vocab_size {cfg.vocab_size}")
-    starts = np.cumsum(lengths) - lengths
-    runs = _runs(lengths, starts, out_rows)
-    positions = np.arange(tokens.size) - np.repeat(starts, lengths)
+    every_runs, read_runs = _runs(lengths, out_rows)
+    positions = np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     h = params.emb[tokens] + params.pos[positions]
     scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=params.dtype))
 
-    cache = {"tokens": tokens, "runs": runs, "layers": []} if need_cache else None
+    cache = {"tokens": tokens, "runs": every_runs, "layers": []} if need_cache else None
     attn_maps = []
     for i, layer in enumerate(params.layers):
-        last = i == cfg.n_layers - 1
-        q_rows = out_rows if last else slice(None)
+        q_rows, runs = (out_rows, read_runs) if i == cfg.n_layers - 1 else (slice(None), every_runs)
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
         q = u[q_rows] @ layer["wq"] + layer["bq"]
         k, v = (u @ layer["w" + name] + layer["b" + name] for name in "kv")
-        ctx, blocks = _attention(q, k, v, runs, last, scale, cfg.n_heads)
+        ctx, blocks = _attention(q, k, v, runs, scale, cfg.n_heads)
         h = h[q_rows]
         o = ctx @ layer["wo"] + layer["bo"]
         h_mid = h + o
@@ -398,10 +351,10 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
         f2 = f1 * cdf
         h_out = h_mid + f2 @ layer["w2"] + layer["b2"]
 
-        attn_maps.append([None if block is None else block[3] for block in blocks])
+        attn_maps.append([block[3] for block in blocks])
         if need_cache:
             cache["layers"].append({
-                "ln1": ln1_cache, "u": u, "q_rows": q_rows, "blocks": blocks,
+                "ln1": ln1_cache, "u": u, "q_rows": q_rows, "runs": runs, "blocks": blocks,
                 "ctx": ctx, "ln2": ln2_cache, "v_in": v_in, "f1": f1, "cdf": cdf, "f2": f2,
             })
         h = h_out
@@ -450,8 +403,7 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
         grads[prefix + "bo"] = dh_mid.sum(axis=0)
         dctx = dh_mid @ layer["wo"].T
         u, q_rows = lcache["u"], lcache["q_rows"]
-        dq, dk, dv = _attention_bwd(dctx, tokens.size, cache["runs"], i == cfg.n_layers - 1,
-                                    lcache["blocks"], scale, cfg.n_heads)
+        dq, dk, dv = _attention_bwd(dctx, tokens.size, lcache["runs"], lcache["blocks"], scale, cfg.n_heads)
         for name, x, dx in (("q", u[q_rows], dq), ("k", u, dk), ("v", u, dv)):
             grads[prefix + "w" + name] = x.T @ dx
             grads[prefix + "b" + name] = dx.sum(axis=0)
@@ -467,7 +419,8 @@ def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarr
     grads["emb"] = np.zeros_like(params.emb)
     grads["emb"][sorted_tokens[firsts]] = np.add.reduceat(dh[order], firsts, axis=0)
     grads["pos"] = np.zeros_like(params.pos)
-    for g, n, rows, _ in cache["runs"]:
+    for g, _, rows in cache["runs"]:
+        n = (rows.stop - rows.start) // g
         grads["pos"][:n] += dh[rows].reshape(g, n, -1).sum(axis=0)
     return grads
 
@@ -497,7 +450,8 @@ def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
     ids = _check_ids(seq)
-    hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), slice(None), need_cache=False)
+    hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), np.arange(ids.size),
+                                       need_cache=False)
     logits = _vocab_logits(params, hidden)
     attentions = np.stack([maps[0][0] for maps in attn_maps]) if collect_attention else np.zeros(
         (0, params.config.n_heads, ids.size, ids.size), dtype=params.dtype
@@ -518,12 +472,13 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
 
     Entry i of the result is a (len(positions[i]), vocab_size) array whose rows
     are the probability vectors at positions[i] of seqs[i]. Sequences are
-    sorted by (length, ids) and packed, PREDICT_BATCH at a time, back to back
-    with no padding, as `_forward_core` takes them, so equal-length sequences
-    share one attention call; the last layer's queries and everything after
-    them, and the vocabulary head, run at the requested positions only.
-    Because the batches depend only on the set of sequences, each result is
-    the same whatever the input order.
+    sorted by (length, number of positions, ids) and packed, PREDICT_BATCH at
+    a time, back to back with no padding, as `_forward_core` takes them, so
+    equal-length sequences share one attention call, and in the last layer
+    those that also ask for as many positions; the last layer's queries and
+    everything after them, and the vocabulary head, run at the requested
+    positions only. Because the batches depend only on the set of sequences,
+    each result is the same whatever the input order.
     """
     if len(seqs) != len(positions):
         raise QtmineError(f"{len(seqs)} sequences but {len(positions)} position lists")
@@ -533,7 +488,7 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
         if p.size and not (0 <= p.min() and p.max() < seq.size):
             raise QtmineError(f"positions {p.tolist()} out of range for sequence length {seq.size}")
 
-    order = sorted(range(len(ids)), key=lambda i: (ids[i].size, ids[i].tolist()))
+    order = sorted(range(len(ids)), key=lambda i: (ids[i].size, pos[i].size, ids[i].tolist()))
     out: list[np.ndarray] = [np.empty(0)] * len(ids)
     for lo in range(0, len(order), PREDICT_BATCH):
         chunk = order[lo:lo + PREDICT_BATCH]
@@ -553,10 +508,11 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     """The masked-LM loss head shared by training and evaluation.
 
     Packs the real tokens of the (B, S) batch's rows that hold a target,
-    sorted by length (a row with none attends only to itself, so it feeds no
-    loss term and no gradient), runs them through the stack, the last layer's
-    queries and all after them at the `delta` positions only, and projects
-    those final hidden rows onto the vocabulary. Returns the per-target
+    sorted by (length, number of targets) (a row with none attends only to
+    itself, so it feeds no loss term and no gradient), runs them through the
+    stack, the last layer's queries and all after them at the `delta`
+    positions only, and projects those final hidden rows onto the
+    vocabulary. Returns the per-target
     cross-entropy log Σexp(z − zmax) − (z_label − zmax), in packed order, and,
     with `need_grads`, the gradients of its mean (otherwise None).
     """
@@ -585,7 +541,7 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
         return np.zeros(0, dtype=params.dtype), None
 
     keep = np.flatnonzero(delta.any(axis=1))
-    order = keep[np.argsort(lengths[keep], kind="stable")]
+    order = keep[np.lexsort((delta[keep].sum(axis=1), lengths[keep]))]
     grid = np.zeros(ids.shape, dtype=np.int64)        # labels carried along with their rows
     grid[delta] = labels
     real, delta = real[order], delta[order]

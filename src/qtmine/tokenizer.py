@@ -104,8 +104,8 @@ class Vocab:
             raise DataFormatError(f"{len(self.tokens)} tokens for {len(self.merges)} merges")
         for i, (a, b) in enumerate(self.merges):
             out = base.size + i
-            if a >= out or b >= out:
-                raise DataFormatError(f"merge {i} refers to a later token ({a},{b})")
+            if not (0 <= a < out and 0 <= b < out):
+                raise DataFormatError(f"merge {i} refers to a token outside 0..{out - 1} ({a},{b})")
             if a in self.special_ids or b in self.special_ids:
                 raise DataFormatError(f"merge {i} involves a special token")
             if self.tokens[out] != self.tokens[a] + self.tokens[b]:

@@ -60,6 +60,8 @@ class TrainConfig:
             raise DataFormatError("batch_size and n_epochs must be positive")
         if self.max_steps is not None and self.max_steps < 1:
             raise DataFormatError(f"max_steps must be at least 1, got {self.max_steps}")
+        if not isinstance(self.eval_every, int) or isinstance(self.eval_every, bool) or self.eval_every < 1:
+            raise DataFormatError(f"eval_every must be an integer of at least 1, got {self.eval_every!r}")
 
 
 @dataclass

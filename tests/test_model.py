@@ -191,12 +191,15 @@ def test_predict_masked_matches_per_sequence_forward():
 def test_predict_masked_reads_any_positions_in_request_order(config):
     # float64, so the read-rows-only last layer must agree with the all-rows
     # pass of `forward` to rounding: positions out of order and repeated.
-    # The length-5 sequences share one group whose read-row block is uneven:
-    # 3, 0, 1 and 4 read rows.
+    # The length-5 sequences read 3, 0, 1, 4 and 1 rows: the two that read
+    # one row, like the two length-4 ones that read two, are not next to each
+    # other in the request, yet share one last-layer attention call.
     params = tiny_params(seed=14, config=config)
     seqs = [[5, 9, 2, 30, 7, 7, 1], [3, 8], [11, 4, 26, 19, 2], [6],
-            [11, 4, 26, 19, 3], [2, 2, 17, 0, 39], [8, 13, 5, 21, 1]]
-    positions = [[6, 0, 3, 0, 6], [], [4, 1, 1], [0, 0], [], [3], [4, 2, 4, 0]]
+            [11, 4, 26, 19, 3], [2, 2, 17, 0, 39], [8, 13, 5, 21, 1],
+            [9, 1, 33, 4], [2, 2, 17, 0, 38], [10, 3, 3, 25]]
+    positions = [[6, 0, 3, 0, 6], [], [4, 1, 1], [0, 0], [], [3], [4, 2, 4, 0],
+                 [2, 0], [1], [3, 3]]
     for seq, pos, probs in zip(seqs, positions, predict_masked(params, seqs, positions)):
         out = forward(params, seq, collect_attention=False)
         expect = np.array([softmax_position(out, t) for t in pos]).reshape(len(pos), config.vocab_size)
@@ -276,10 +279,9 @@ def test_padded_batch_loss_matches_single_rows():
 def uneven_read_rows_batch(config):
     """Rows of lengths (6, 3, 6, 5, 3, 6) with 2, 1, 0, 0, 0 and 3 targets.
 
-    The length-6 group's read-row block holds 3 slots per sequence, of which
-    1, 3 and 0 are unused; the length-3 group's holds 1, one of them unused;
-    the length-5 group has no read row. Neither group with two or more
-    sequences lies in consecutive rows.
+    The loss head packs rows 1, 0 and 5. Rows 0 and 5, not consecutive, share
+    the length-6 attention call of the first layer, but read 2 and 3 rows, so
+    each has a last-layer call of its own.
     """
     rng = np.random.default_rng(31)
     rows = [rng.integers(0, config.vocab_size, n) for n in (6, 3, 6, 5, 3, 6)]
@@ -291,26 +293,52 @@ def uneven_read_rows_batch(config):
     return rows, (ids, lengths, delta, labels)
 
 
-@pytest.mark.parametrize("config", [TINY_ONE_LAYER, TINY], ids=["1-layer", "2-layer"])
-def test_uneven_read_rows_loss_matches_single_rows(config):
-    # float64: the loss over an uneven read-row block equals -log p[label]
-    # read from each row's unpadded all-rows `forward`.
+def shared_read_rows_batch(config):
+    """Rows of lengths (7, 4, 7, 2, 7, 4) with 2, 1, 3, 0, 2 and 1 targets.
+
+    Rows 0 and 4 (length 7, two targets each) and rows 1 and 5 (length 4, one
+    target each) are runs of two in the last layer's attention, though no two
+    of them are consecutive; row 2, of length 7 with 3 targets, sits between
+    rows 0 and 4 and has a run of its own.
+    """
+    rng = np.random.default_rng(32)
+    rows = [rng.integers(0, config.vocab_size, n) for n in (7, 4, 7, 2, 7, 4)]
+    ids, lengths = model.pad_rows(rows, fill=1)
+    delta = np.zeros(ids.shape, dtype=bool)
+    for i, slots in enumerate([[5, 0], [3], [6, 2, 1], [], [1, 4], [0]]):
+        delta[i, slots] = True
+    labels = rng.integers(0, config.vocab_size, int(delta.sum()))
+    return rows, (ids, lengths, delta, labels)
+
+
+READ_ROWS_CASES = [
+    pytest.param(TINY_ONE_LAYER, uneven_read_rows_batch, id="1-layer"),
+    pytest.param(TINY, uneven_read_rows_batch, id="2-layer"),
+    pytest.param(TINY_ONE_LAYER, shared_read_rows_batch, id="1-layer-shared-reads"),
+    pytest.param(TINY, shared_read_rows_batch, id="2-layer-shared-reads"),
+]
+
+
+@pytest.mark.parametrize("config, make_batch", READ_ROWS_CASES)
+def test_uneven_read_rows_loss_matches_single_rows(config, make_batch):
+    # float64: the loss over uneven read rows equals -log p[label] read from
+    # each row's unpadded all-rows `forward`.
     params = tiny_params(seed=16, config=config)
-    rows, (ids, lengths, delta, labels) = uneven_read_rows_batch(config)
+    rows, (ids, lengths, delta, labels) = make_batch(config)
     want, label = [], iter(labels)
     for row, slots in zip(rows, delta):
         out = forward(params, row, collect_attention=False)
         want.extend(-math.log(softmax_position(out, t)[next(label)]) for t in np.flatnonzero(slots))
     loss, _ = loss_and_grads(params, ids, lengths, delta, labels)
     ce_sum, n = eval_loss(params, ids, lengths, delta, labels)
-    assert n == len(want) == 6
+    assert n == len(want) == labels.size
     assert abs(loss - np.mean(want)) < 1e-10
     assert abs(ce_sum - np.sum(want)) < 1e-10
 
 
-@pytest.mark.parametrize("config", [TINY_ONE_LAYER, TINY], ids=["1-layer", "2-layer"])
-def test_uneven_read_rows_finite_difference_gradients(config):
-    _, batch = uneven_read_rows_batch(config)
+@pytest.mark.parametrize("config, make_batch", READ_ROWS_CASES)
+def test_uneven_read_rows_finite_difference_gradients(config, make_batch):
+    _, batch = make_batch(config)
     _check_sampled_finite_differences(tiny_params(seed=17, config=config), batch,
                                       np.random.default_rng(4))
 

@@ -255,6 +255,21 @@ def test_load_vocab_rejects_a_special_id_outside_its_slot(tmp_path):
         load_vocab(path)
 
 
+def test_load_vocab_rejects_a_negative_merge_id(tmp_path):
+    # tokens[-2] is token 262 in this 264-token table, so the merge (-2, 99)
+    # would still rebuild " aac" and encode would drop the merge that makes it.
+    vocab = train_bpe(["aab aac"] * 5, 264)
+    assert vocab.merges == [(97, 97), (32, 261), (262, 99)]
+    assert encode(vocab, "aab aac") == [261, 98, 263]
+    path = tmp_path / "vocab.json"
+    save_vocab(vocab, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["merges"][2] = [-2, 99]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="merge 2"):
+        load_vocab(path)
+
+
 def test_decode_renders_special_markers():
     vocab = train_bpe(SMALL_CORPUS, 300)
     shown = decode(vocab, [vocab.bos_id, ord("h"), ord("i"), vocab.mask_id, vocab.eos_id])
@@ -310,3 +325,10 @@ def test_validate_catches_corruption():
     extra = Vocab(tokens=vocab.tokens + [b"zz"], merges=vocab.merges, special=vocab.special)
     with pytest.raises(DataFormatError):
         extra.validate()
+    # A negative id would pass as an index from the end of the table.
+    last = len(vocab.merges) - 1
+    a, b = vocab.merges[last]
+    negative = Vocab(tokens=vocab.tokens, merges=vocab.merges[:last] + [(a - vocab.size, b)],
+                     special=vocab.special)
+    with pytest.raises(DataFormatError):
+        negative.validate()

@@ -227,13 +227,15 @@ def test_train_is_bit_reproducible(small_vocab):
 # was re-recorded again when the last layer came to run after attention at the
 # targeted rows only and the embedding gradient to a sorted segmented sum,
 # again when the last layer's queries and attention moved to those rows too,
-# and again when the loss head came to pack only the windows that hold a
-# target, sorted by length.
+# again when the loss head came to pack only the windows that hold a
+# target, sorted by length, and again when it came to sort them by length and
+# then by number of targets, so that the last layer attends once per run of
+# windows with equal length and equal target count.
 GOLDEN_VOCAB_SHA = "9ef75753ae4789f545c50a4a9f944d14e3415e950fff93d079fa94f6e57a58d9"
 GOLDEN_IDS_SHA = "edb3f8bd6be5e8ea3c61c6df6dbce26c64894d699416f2a3682db4da12550037"
 GOLDEN_CKPT_SHA = {
     "x86_64 scipy-openblas 0.3.31.188.0 AVX512_SPR":
-        "d85c93eebccb7a3d00838716f4b0409a42b1b1727734a7cfc87d409d3fdd62be",
+        "cb30a29485c98e8bfbafb06126c36dbcd2541a8e1dceb7ab5ae62e51655cabf3",
 }
 # (step, loss, eval CE) of the same run in full precision, recorded by the
 # code whose checkpoint digest was 77203a7c…. A change that gives up
@@ -364,6 +366,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(DataFormatError):
         TrainConfig(n_epochs=0)
+    for bad in (0, -3, 2.5, True, "6"):
+        with pytest.raises(DataFormatError, match="eval_every"):
+            TrainConfig(eval_every=bad)
+    assert TrainConfig(eval_every=1).eval_every == 1
 
 
 def test_train_config_max_steps_is_none_or_positive():
