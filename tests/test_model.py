@@ -280,8 +280,8 @@ def uneven_read_rows_batch(config):
     """Rows of lengths (6, 3, 6, 5, 3, 6) with 2, 1, 0, 0, 0 and 3 targets.
 
     The loss head packs rows 1, 0 and 5. Rows 0 and 5, not consecutive, share
-    the length-6 attention call of the first layer, but read 2 and 3 rows, so
-    each has a last-layer call of its own.
+    the length-6 attention call of every layer but the last; they read 2 and
+    3 rows, so each has a last-layer call of its own.
     """
     rng = np.random.default_rng(31)
     rows = [rng.integers(0, config.vocab_size, n) for n in (6, 3, 6, 5, 3, 6)]

@@ -256,8 +256,9 @@ def test_load_vocab_rejects_a_special_id_outside_its_slot(tmp_path):
 
 
 def test_load_vocab_rejects_a_negative_merge_id(tmp_path):
-    # tokens[-2] is token 262 in this 264-token table, so the merge (-2, 99)
-    # would still rebuild " aac" and encode would drop the merge that makes it.
+    # tokens[-2] is token 262 of this 264-token table, so a merge rewritten as
+    # (-2, 99) still spells " aac"; encode, which never meets id -2, would
+    # then stop at [261, 98, 262, 99].
     vocab = train_bpe(["aab aac"] * 5, 264)
     assert vocab.merges == [(97, 97), (32, 261), (262, 99)]
     assert encode(vocab, "aab aac") == [261, 98, 263]
