@@ -87,7 +87,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         return cfg
     try:
         data = json.loads(read_text(path, "config"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataFormatError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataFormatError(f"config {path} must hold a JSON object")

@@ -159,7 +159,7 @@ def load_corpus(path: str | Path) -> DocumentSet:
             doc = _parse_document(obj)
             if doc.id in seen_ids:
                 raise ValueError(f"duplicate document id {doc.id!r}")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
             malformed += 1
             log.warning(kv(event="malformed_document", line=lineno, reason=str(exc)))
             continue
@@ -273,8 +273,12 @@ def group_by_category(items: list[AnalogyItem]) -> dict[tuple[str, str], list[An
 
 def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     reader = csv.DictReader(io.StringIO(read_text(path, "CSV file"), newline=""))
-    header = reader.fieldnames or []
-    for column in required:
-        if column not in header:
-            raise DataFormatError(f"{path}: missing required column {column!r}")
-    return [{k: (v or "") for k, v in row.items()} for row in reader]
+    try:
+        header = reader.fieldnames or []
+        for column in required:
+            if column not in header:
+                raise DataFormatError(f"{path}: missing required column {column!r}")
+        return [{k: (v or "") for k, v in row.items()} for row in reader]
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        # DictReader.line_num still counts the last good row; its reader's counts this one.
+        raise DataFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None

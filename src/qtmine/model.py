@@ -621,7 +621,7 @@ def load_checkpoint(path: str | Path) -> Params:
         config = ModelConfig(**sidecar["model"])
         declared = [(t["name"], tuple(t["shape"])) for t in sidecar["tensors"]]
         raw = path.read_bytes()
-    except (OSError, KeyError, TypeError, ValueError, DataFormatError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError, DataFormatError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
     expected = tensor_shapes(config)

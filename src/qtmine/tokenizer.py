@@ -1,9 +1,12 @@
 """Byte-level byte-pair-encoding tokenizer.
 
-Token ids are laid out densely: ids 0..255 are the single bytes, followed by
-the special tokens, followed by merge outputs in the order they were learned.
-There is no pre-tokenizer; merges are learned and applied directly on the raw
-byte stream of each document, so encode/decode is lossless for any UTF-8 text.
+A vocabulary is its ordered merge list. Token ids are laid out densely: ids
+0..255 are the single bytes, followed by the special tokens, followed by merge
+outputs in the order they were learned, so merge i makes token FIRST_MERGED + i
+from the bytes of its pair. The token table and the special ids follow from the
+merges and this layout; neither is stored. There is no pre-tokenizer; merges
+are learned and applied directly on the raw byte stream of each document, so
+encode/decode is lossless for any UTF-8 text.
 
 Training and encoding share one structure: the bytes as a doubly linked list
 plus a lazy heap of candidate pairs. `encode` is an O(n log n) heap merge whose
@@ -19,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -31,6 +34,10 @@ log = get_logger(__name__)
 N_BYTES = 256
 SPECIAL_NAMES = ("mask", "pad", "bos", "eos", "unk")
 SPECIAL_MARKERS = {name: f"<{name}>".encode("ascii") for name in SPECIAL_NAMES}
+SPECIAL = {name: N_BYTES + i for i, name in enumerate(SPECIAL_NAMES)}
+FIRST_MERGED = N_BYTES + len(SPECIAL_NAMES)
+# The table before any merge: the bytes, then the special markers.
+_BASE_TOKENS = tuple(bytes([b]) for b in range(N_BYTES)) + tuple(SPECIAL_MARKERS.values())
 # Fewest occurrences of an adjacent pair for `train_bpe` to merge it.
 MIN_PAIR_COUNT = 2
 
@@ -39,45 +46,43 @@ TokenSeq = list[int]
 
 @dataclass
 class Vocab:
-    """A trained BPE vocabulary: byte table, ordered merges, special ids."""
+    """A trained BPE vocabulary: its ordered merges, each a pair of earlier,
+    non-special token ids."""
 
-    tokens: list[bytes]
     merges: list[tuple[int, int]]
-    special: dict[str, int]
+
+    mask_id: ClassVar[int] = SPECIAL["mask"]
+    pad_id: ClassVar[int] = SPECIAL["pad"]
+    bos_id: ClassVar[int] = SPECIAL["bos"]
+    eos_id: ClassVar[int] = SPECIAL["eos"]
+    unk_id: ClassVar[int] = SPECIAL["unk"]
+    special_ids: ClassVar[frozenset[int]] = frozenset(SPECIAL.values())
+
+    def __post_init__(self) -> None:
+        for i, (a, b) in enumerate(self.merges):
+            out = FIRST_MERGED + i
+            if not (0 <= a < out and 0 <= b < out):
+                raise DataFormatError(f"merge {i} refers to a token outside 0..{out - 1} ({a},{b})")
+            if a in self.special_ids or b in self.special_ids:
+                raise DataFormatError(f"merge {i} involves a special token")
 
     @property
     def size(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def mask_id(self) -> int:
-        return self.special["mask"]
-
-    @property
-    def pad_id(self) -> int:
-        return self.special["pad"]
-
-    @property
-    def bos_id(self) -> int:
-        return self.special["bos"]
-
-    @property
-    def eos_id(self) -> int:
-        return self.special["eos"]
-
-    @property
-    def unk_id(self) -> int:
-        return self.special["unk"]
+        return FIRST_MERGED + len(self.merges)
 
     @cached_property
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(self.special.values())
+    def tokens(self) -> list[bytes]:
+        """The bytes of every token id."""
+        tokens = list(_BASE_TOKENS)
+        for a, b in self.merges:
+            tokens.append(tokens[a] + tokens[b])
+        return tokens
 
     @cached_property
     def is_special(self) -> np.ndarray:
         """Boolean lookup over token ids: True at the special ids."""
         table = np.zeros(self.size, dtype=bool)
-        table[list(self.special.values())] = True
+        table[list(self.special_ids)] = True
         return table
 
     @cached_property
@@ -94,32 +99,6 @@ class Vocab:
         """Human-readable form of one token (special markers render literally)."""
         return self.tokens[token_id].decode("utf-8", errors="replace")
 
-    def validate(self) -> None:
-        """Check the fixed layout: the 256 bytes, the special markers at their
-        ids, then one token per merge, each the bytes of its pair."""
-        base = _empty_vocab()
-        if self.tokens[:base.size] != base.tokens or self.special != base.special:
-            raise DataFormatError("the table must open with the 256 bytes, then the special markers")
-        if len(self.tokens) != base.size + len(self.merges):
-            raise DataFormatError(f"{len(self.tokens)} tokens for {len(self.merges)} merges")
-        for i, (a, b) in enumerate(self.merges):
-            out = base.size + i
-            if not (0 <= a < out and 0 <= b < out):
-                raise DataFormatError(f"merge {i} refers to a token outside 0..{out - 1} ({a},{b})")
-            if a in self.special_ids or b in self.special_ids:
-                raise DataFormatError(f"merge {i} involves a special token")
-            if self.tokens[out] != self.tokens[a] + self.tokens[b]:
-                raise DataFormatError(f"merge {i} output bytes inconsistent")
-
-
-def _empty_vocab() -> Vocab:
-    tokens = [bytes([b]) for b in range(N_BYTES)]
-    special = {}
-    for name in SPECIAL_NAMES:
-        special[name] = len(tokens)
-        tokens.append(SPECIAL_MARKERS[name])
-    return Vocab(tokens=tokens, merges=[], special=special)
-
 
 def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     """Learn BPE merges by greedy highest-frequency pair merging.
@@ -129,11 +108,9 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     byte order of the merged pair (then of the left token), so retraining on
     identical input is byte-identical. Pairs never span document boundaries.
     """
-    vocab = _empty_vocab()
-    n_base = vocab.size
-    if vocab_size <= n_base:
+    if vocab_size <= FIRST_MERGED:
         raise DataFormatError(
-            f"vocab_size must exceed {n_base} (256 bytes + {len(SPECIAL_NAMES)} specials), got {vocab_size}"
+            f"vocab_size must exceed {FIRST_MERGED} (256 bytes + {len(SPECIAL_NAMES)} specials), got {vocab_size}"
         )
 
     # Flat corpus as a doubly linked list; links never cross document bounds.
@@ -153,7 +130,9 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     if not ids:
         raise DataFormatError("cannot train BPE on an empty corpus")
 
-    tokens = vocab.tokens
+    # The table so far, for the tie-break on merged bytes.
+    tokens = list(_BASE_TOKENS)
+    merges: list[tuple[int, int]] = []
     counts: dict[tuple[int, int], int] = {}
     occ: dict[tuple[int, int], list[int]] = {}
     for i in range(len(ids)):
@@ -197,7 +176,7 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
         a, b = pair
         new_id = len(tokens)
         tokens.append(tokens[a] + tokens[b])
-        vocab.merges.append(pair)
+        merges.append(pair)
 
         # Occurrence lists may hold stale or duplicate positions; validation
         # against the live linked list filters them. Ascending order gives the
@@ -228,8 +207,8 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
             push(t)
         touched.clear()
 
-    log.info(kv(event="bpe_trained", vocab_size=len(tokens), merges=len(vocab.merges)))
-    return vocab
+    log.info(kv(event="bpe_trained", vocab_size=len(tokens), merges=len(merges)))
+    return Vocab(merges)
 
 
 def encode(vocab: Vocab, text: str) -> TokenSeq:
@@ -250,7 +229,6 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
     if n < 2:
         return ids
     rank = vocab.merge_rank
-    first_merged = N_BYTES + len(SPECIAL_NAMES)
     nxt = list(range(1, n + 1))
     nxt[-1] = -1
     prv = list(range(-1, n - 1))
@@ -263,7 +241,7 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
         # Skip stale entries: the left node was absorbed, or its pair changed.
         if a == -1 or j == -1 or rank.get((a, ids[j])) != r:
             continue
-        new_id = first_merged + r
+        new_id = FIRST_MERGED + r
         ids[i] = new_id
         ids[j] = -1
         k = nxt[j]
@@ -318,20 +296,26 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
     doc = {
         "tokens": [_token_to_json(t) for t in vocab.tokens],
         "merges": [list(pair) for pair in vocab.merges],
-        "special": dict(vocab.special),
+        "special": SPECIAL,
     }
     write_atomic(path, json.dumps(doc, ensure_ascii=False).encode("utf-8"))
 
 
 def load_vocab(path: str | Path) -> Vocab:
+    """Read a vocabulary file. Only its merges define the vocabulary; its
+    special ids must be SPECIAL and its token table the one the merges make."""
     try:
         doc = json.loads(read_text(path, "vocab file"))
-        vocab = Vocab(
-            tokens=[_token_from_json(t) for t in doc["tokens"]],
-            merges=[(int(a), int(b)) for a, b in doc["merges"]],
-            special={str(k): int(v) for k, v in doc["special"].items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        merges = [(a, b) for a, b in doc["merges"]]
+        tokens = [_token_from_json(t) for t in doc["tokens"]]
+        special = doc["special"]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataFormatError(f"malformed vocab file {path}: {exc}") from exc
-    vocab.validate()
+    if special != SPECIAL:
+        raise DataFormatError(f"vocab file {path}: special ids must be {SPECIAL}, got {special!r}")
+    if not all(type(i) is int for pair in merges for i in pair):
+        raise DataFormatError(f"vocab file {path}: merge ids must be integers")
+    vocab = Vocab(merges)
+    if tokens != vocab.tokens:
+        raise DataFormatError(f"vocab file {path}: its tokens are not the ones its merges make")
     return vocab

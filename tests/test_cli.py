@@ -89,6 +89,13 @@ def test_load_config_invalid_json_raises(tmp_path):
         load_config(path)
 
 
+def test_load_config_nested_too_deeply_raises(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(DataFormatError, match="not valid JSON"):
+        load_config(path)
+
+
 def test_load_config_non_object_raises(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2, 3]", encoding="utf-8")
@@ -696,6 +703,22 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
                 "--out", str(tmp_path / "vocab.json")]
     if case == "config-is-a-directory":
         return ["--config", str(tmp_path), "train-tokenizer"]
+    if case == "config-nested-too-deeply":
+        deep = tmp_path / "config.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        return ["--config", str(deep), "train-tokenizer"]
+    if case == "vocab-special-null":
+        doc = json.loads(Path(ws["vocab"]).read_text(encoding="utf-8"))
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({**doc, "special": None}), encoding="utf-8")
+        return ["--config", config, "qt", "--vocab", str(vocab), "--checkpoint", ws["ckpt"],
+                "--query", "x <mask>"]
+    if case == "fc-trials-field-too-large":
+        trials = tmp_path / "trials.csv"
+        trials.write_text("trial_id,year,drugs,condition\nT1,2001," + "x" * 200_000 + ",flu\n",
+                          encoding="utf-8")
+        return ["--config", config, "--trials", str(trials), "fc", "--years", "2001",
+                "--outdir", str(tmp_path / "out")]
     if case == "trials-not-utf8":
         trials = tmp_path / "trials.csv"
         trials.write_bytes(b"trial_id,year,drugs,condition\nT1,2001,tami\xffvir,flu\n")
@@ -714,6 +737,12 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         sidecar = json.loads(Path(ws["ckpt"] + ".json").read_text(encoding="utf-8"))
         sidecar["model"]["n_layers"] = 1.0
         Path(str(ckpt) + ".json").write_text(json.dumps(sidecar), encoding="utf-8")
+        return ["--config", config, "qt", "--vocab", ws["vocab"], "--checkpoint", str(ckpt),
+                "--query", "x <mask>"]
+    if case == "sidecar-nested-too-deeply":
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(ws["ckpt"], ckpt)
+        Path(str(ckpt) + ".json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
         return ["--config", config, "qt", "--vocab", ws["vocab"], "--checkpoint", str(ckpt),
                 "--query", "x <mask>"]
     if case == "years-not-a-number":
@@ -766,11 +795,15 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
 @pytest.mark.parametrize("case,error_type", [
     ("corpus-is-a-directory", "DataFormatError"),
     ("config-is-a-directory", "DataFormatError"),
+    ("config-nested-too-deeply", "DataFormatError"),
+    ("vocab-special-null", "DataFormatError"),
+    ("fc-trials-field-too-large", "DataFormatError"),
     ("trials-not-utf8", "DataFormatError"),
     ("passage-file-missing", "DataFormatError"),
     ("n-layers-string", "DataFormatError"),
     ("seed-string", "DataFormatError"),
     ("sidecar-float-dimension", "CheckpointError"),
+    ("sidecar-nested-too-deeply", "CheckpointError"),
     ("years-not-a-number", "DataFormatError"),
     ("max-steps-zero", "DataFormatError"),
     ("max-steps-negative", "DataFormatError"),

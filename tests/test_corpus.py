@@ -62,12 +62,13 @@ def test_load_corpus_skips_malformed_lines(tmp_path):
         doc_obj(3, year=True),                       # bool year
         json.dumps(doc_obj(0, 2001)),                # duplicate id
         doc_obj(4, 2004),
+        "[" * 200_000 + "]" * 200_000,               # nested too deeply to parse
         "",
     ]
     path = write_jsonl(tmp_path / "c.jsonl", rows)
     docs = load_corpus(path)
     assert [d.id for d in docs.documents] == ["doc0", "doc1", "doc4"]
-    assert docs.malformed_count == 6
+    assert docs.malformed_count == 7
     assert docs.documents[1].publish_year is None
 
 
@@ -182,6 +183,18 @@ def test_load_aliases(tmp_path):
                      ["Tamiflu,Oseltamivir", "Relenza,zanamivir", ",skipped"])
     aliases = load_aliases(path)
     assert aliases.pairs == {"tamiflu": "oseltamivir", "relenza": "zanamivir"}
+
+
+@pytest.mark.parametrize("loader,header", [
+    (load_trials, "trial_id,year,drugs,condition"),
+    (load_approvals, "drug,approval_year"),
+    (load_aliases, "trade_name,scientific_name"),
+])
+def test_csv_loaders_reject_a_field_over_the_size_limit(tmp_path, loader, header):
+    # The csv module refuses a field over csv.field_size_limit(), 131,072 characters.
+    path = write_csv(tmp_path / "t.csv", header, ["x" * 200_000 + ",2001"])
+    with pytest.raises(DataFormatError, match=r"t\.csv:2: field larger than field limit"):
+        loader(path)
 
 
 def test_load_trials_normalizes_drugs(tmp_path):

@@ -13,11 +13,12 @@ import pytest
 import synth
 from qtmine.errors import DataFormatError
 from qtmine.tokenizer import (
+    FIRST_MERGED,
     MIN_PAIR_COUNT,
     N_BYTES,
+    SPECIAL,
     SPECIAL_MARKERS,
     SPECIAL_NAMES,
-    Vocab,
     decode,
     encode,
     load_vocab,
@@ -190,8 +191,9 @@ def test_special_ids_and_layout():
     assert vocab.tokens[: N_BYTES] == [bytes([b]) for b in range(N_BYTES)]
     specials = [vocab.mask_id, vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.unk_id]
     assert specials == list(range(N_BYTES, N_BYTES + 5))
-    assert vocab.special_ids == frozenset(specials)
-    vocab.validate()
+    assert vocab.special_ids == frozenset(specials) == frozenset(SPECIAL.values())
+    assert vocab.tokens[N_BYTES:FIRST_MERGED] == [SPECIAL_MARKERS[n] for n in SPECIAL_NAMES]
+    assert vocab.size == FIRST_MERGED + len(vocab.merges) == len(vocab.tokens)
 
 
 def test_vocab_tables_are_computed_once():
@@ -214,7 +216,7 @@ def test_retrain_is_byte_identical(tmp_path):
     texts = SMALL_CORPUS * 3
     a = train_bpe(texts, 340)
     b = train_bpe(texts, 340)
-    assert a.tokens == b.tokens and a.merges == b.merges and a.special == b.special
+    assert a.tokens == b.tokens and a.merges == b.merges
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_vocab(a, pa)
     save_vocab(b, pb)
@@ -230,7 +232,6 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_vocab(path)
     assert loaded.tokens == vocab.tokens
     assert loaded.merges == vocab.merges
-    assert loaded.special == vocab.special
     text = "the cat sat 日日日"
     assert encode(loaded, text) == encode(vocab, text)
 
@@ -305,31 +306,65 @@ def test_min_pair_count_threshold():
     assert vocab2.tokens[-1] == b"xy"
 
 
-def test_validate_catches_corruption():
-    vocab = train_bpe(SMALL_CORPUS, 300)
-    broken = Vocab(tokens=vocab.tokens[:-1] + [b"zzz"], merges=vocab.merges,
-                   special=vocab.special)
-    if vocab.merges:
-        with pytest.raises(DataFormatError):
-            broken.validate()
-    dup = Vocab(tokens=vocab.tokens + [vocab.tokens[0]],
-                merges=vocab.merges + [(0, 0)], special=vocab.special)
-    with pytest.raises(DataFormatError):
-        dup.validate()
-    # A special id that points at a merge output would make encode() emit a
-    # "<mask>" for ordinary text.
-    moved = Vocab(tokens=vocab.tokens, merges=vocab.merges,
-                  special={**vocab.special, "mask": vocab.size - 1})
-    with pytest.raises(DataFormatError):
-        moved.validate()
-    # A token that no merge produces.
-    extra = Vocab(tokens=vocab.tokens + [b"zz"], merges=vocab.merges, special=vocab.special)
-    with pytest.raises(DataFormatError):
-        extra.validate()
-    # A negative id would pass as an index from the end of the table.
-    last = len(vocab.merges) - 1
-    a, b = vocab.merges[last]
-    negative = Vocab(tokens=vocab.tokens, merges=vocab.merges[:last] + [(a - vocab.size, b)],
-                     special=vocab.special)
-    with pytest.raises(DataFormatError):
-        negative.validate()
+def _corrupt(doc, case):
+    """Edit a saved vocab.json document in the way `case` names."""
+    tokens, merges, size = doc["tokens"], doc["merges"], len(doc["tokens"])
+    if case == "wrong-token-bytes":
+        tokens[-1] = "zzz"
+    elif case == "extra-token":
+        tokens.append("zz")
+    elif case == "extra-merge":
+        tokens.append(tokens[0])
+        merges.append([0, 0])
+    elif case == "moved-special":
+        # A special id that points at a merge output would make encode() emit
+        # a "<mask>" for ordinary text.
+        doc["special"]["mask"] = size - 1
+    elif case == "special-null":
+        doc["special"] = None
+    elif case == "special-list":
+        doc["special"] = list(SPECIAL.values())
+    elif case == "negative-merge-id":
+        # A negative id would pass as an index from the end of the table.
+        merges[-1][0] -= size
+    elif case == "merge-uses-special":
+        merges[-1][0] = SPECIAL["mask"]
+    elif case == "float-merge-id":
+        merges[0][0] += 0.9  # int() would read it as the merge it was
+    elif case == "bool-merge-id":
+        merges[0][0] = True
+    else:
+        raise AssertionError(case)
+
+
+# Each corruption `_corrupt` makes, and the message `load_vocab` rejects it with.
+CORRUPTIONS = {
+    "wrong-token-bytes": "tokens are not the ones",
+    "extra-token": "tokens are not the ones",
+    "extra-merge": "tokens are not the ones",
+    "moved-special": "special ids",
+    "special-null": "special ids",
+    "special-list": "special ids",
+    "negative-merge-id": "refers to a token outside",
+    "merge-uses-special": "involves a special token",
+    "float-merge-id": "must be integers",
+    "bool-merge-id": "must be integers",
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_load_vocab_rejects_a_corrupt_file(tmp_path, case):
+    path = tmp_path / "vocab.json"
+    save_vocab(train_bpe(SMALL_CORPUS, 300), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    _corrupt(doc, case)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=CORRUPTIONS[case]):
+        load_vocab(path)
+
+
+def test_load_vocab_rejects_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(DataFormatError, match="malformed vocab file"):
+        load_vocab(path)
