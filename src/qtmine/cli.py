@@ -30,7 +30,7 @@ from .config import RunConfig, apply_overrides, load_config
 from .corpus import (YEAR_MAX, YEAR_MIN, DocumentSet, load_aliases, load_analogies,
                      load_approvals, load_corpus, load_trials)
 from .errors import DataFormatError, QtmineError
-from .tokenizer import load_vocab, save_vocab, train_bpe
+from .tokenizer import encode, load_vocab, save_vocab, train_bpe
 from .util import csv_bytes, get_logger, kv, read_text, setup_logging, write_atomic
 
 logger = get_logger()
@@ -62,8 +62,9 @@ def _load_aliases(cfg: RunConfig):
 
 
 def _parse_years(spec: str) -> list[int]:
-    """`lo:hi` (inclusive) or a comma list as sorted cutoff years, each within
-    YEAR_MIN..YEAR_MAX; the bounds are checked before a range is built."""
+    """`lo:hi` (inclusive, lo <= hi) or a comma list as sorted cutoff years,
+    each within YEAR_MIN..YEAR_MAX; the bounds are checked before a range is
+    built."""
     try:
         years = [int(y) for y in (spec.split(":", 1) if ":" in spec else spec.split(","))]
     except ValueError:
@@ -72,6 +73,8 @@ def _parse_years(spec: str) -> list[int]:
         raise DataFormatError(f"--years must be like 2005:2016 or 2005,2010, "
                               f"years in {YEAR_MIN}..{YEAR_MAX}, got {spec!r}")
     if ":" in spec:
+        if years[1] < years[0]:
+            raise DataFormatError(f"--years range {spec!r} ends before it starts")
         years = range(years[0], years[1] + 1)
     return sorted(set(years))
 
@@ -98,10 +101,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
     params = M.init_params(cfg.model_config(vocab.size), cfg.seed)
     result = T.train(
         params, vocab,
-        [d.text() for d in train_docs],
+        [encode(vocab, d.text()) for d in train_docs],
         cfg.train_config(),
         seed=np.random.SeedSequence([cfg.seed]),
-        eval_texts=[d.text() for d in eval_docs],
+        eval_streams=[encode(vocab, d.text()) for d in eval_docs],
     )
     out = args.out or str(Path(cfg.checkpoint_dir) / "model.ckpt")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -199,11 +202,11 @@ def cmd_rank(args, cfg: RunConfig) -> int:
 
 
 def cmd_fc(args, cfg: RunConfig) -> int:
+    years = _parse_years(args.years)
     docset = load_corpus(_require(cfg.corpus, "corpus"))
     aliases = _load_aliases(cfg)
     trials = load_trials(_require(cfg.trials, "trials"), aliases)
     approvals = load_approvals(_require(cfg.approvals, "approvals"), aliases)
-    years = _parse_years(args.years)
     outdir = args.outdir or str(Path(cfg.output_dir) / "fc")
     _, metrics = F.fc_analysis(
         docset, trials, approvals, years,

@@ -27,7 +27,7 @@ from .corpus import ApprovalRecord, DocumentSet, TrialRecord, candidates_at_year
 from .errors import EvalError, TemplateError
 from .qt import (DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, DRUG_SLOT, RankedItem, TargetSpec,
                  rank_by_qt)
-from .tokenizer import Vocab, train_bpe
+from .tokenizer import Vocab, train_and_encode
 from .util import csv_bytes, get_logger, kv, write_atomic
 
 logger = get_logger()
@@ -93,16 +93,19 @@ def train_at_cutoff(
     train_cfg: T.TrainConfig,
     base_seed: int,
 ) -> tuple[Vocab, M.Params]:
-    """Train tokenizer and model from scratch on documents dated <= cutoff."""
+    """Train tokenizer and model from scratch on documents dated <= cutoff.
+
+    The model trains on the token streams BPE training ends with, so each
+    cutoff's texts are tokenized once."""
     visible = filter_by_year(docs, cutoff)
     if not len(visible):
         raise EvalError(f"no dated documents at or before {cutoff}")
     texts = [d.text() for d in visible.documents]
-    vocab = train_bpe(texts, vocab_size)
+    vocab, streams = train_and_encode(texts, vocab_size)
     seed_init, seed_train = np.random.SeedSequence([base_seed, cutoff]).spawn(2)
     config = M.ModelConfig(vocab_size=vocab.size, **model_dims)
     params = M.init_params(config, seed_init)
-    T.train(params, vocab, texts, train_cfg, seed_train)
+    T.train(params, vocab, streams, train_cfg, seed_train)
     return vocab, params
 
 

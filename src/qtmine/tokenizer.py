@@ -10,8 +10,12 @@ encode/decode is lossless for any UTF-8 text.
 
 Training and encoding share one structure: the bytes as a doubly linked list
 plus a lazy heap of candidate pairs. `encode` is an O(n log n) heap merge whose
-output equals applying the merges one rank at a time; the quadratic reference
-implementations in the test suite check both paths.
+output equals applying the merges one rank at a time. Training applies each
+merge to all its occurrences as it learns it, so it ends with that encoding of
+every training text: `train_and_encode` hands the token streams back with the
+vocabulary, and a caller that trains on the same texts need not encode them
+again. The quadratic reference implementations in the test suite check both
+paths.
 """
 
 from __future__ import annotations
@@ -101,12 +105,23 @@ class Vocab:
 
 
 def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
-    """Learn BPE merges by greedy highest-frequency pair merging.
+    """Learn BPE merges from `texts`; see `train_and_encode`."""
+    return train_and_encode(texts, vocab_size)[0]
+
+
+def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list[TokenSeq]]:
+    """Learn BPE merges by greedy highest-frequency pair merging, and return the
+    vocabulary with each text's token ids under it.
 
     Merging stops when `vocab_size` tokens exist or no adjacent pair occurs at
     least MIN_PAIR_COUNT times. Frequency ties break by the lexicographic
     byte order of the merged pair (then of the left token), so retraining on
     identical input is byte-identical. Pairs never span document boundaries.
+
+    Each merge is applied to every occurrence, left to right, in the order
+    the merges are learned, so the linked list training ends with is each
+    text's `encode` under the learned vocabulary; the token ids are read off
+    it, one list per text (empty for an empty text).
     """
     if vocab_size <= FIRST_MERGED:
         raise DataFormatError(
@@ -117,57 +132,41 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     ids: list[int] = []
     nxt: list[int] = []
     prv: list[int] = []
+    starts: list[int] = []  # each text's first node, -1 for an empty text
     for text in texts:
         data = text.encode("utf-8")
         if not data:
+            starts.append(-1)
             continue
         start = len(ids)
+        end = start + len(data)
+        starts.append(start)
         ids.extend(data)
-        end = len(ids)
-        for i in range(start, end):
-            prv.append(i - 1 if i > start else -1)
-            nxt.append(i + 1 if i < end - 1 else -1)
+        prv.append(-1)
+        prv.extend(range(start, end - 1))
+        nxt.extend(range(start + 1, end))
+        nxt.append(-1)
     if not ids:
         raise DataFormatError("cannot train BPE on an empty corpus")
 
     # The table so far, for the tie-break on merged bytes.
     tokens = list(_BASE_TOKENS)
     merges: list[tuple[int, int]] = []
-    counts: dict[tuple[int, int], int] = {}
     occ: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(ids)):
-        j = nxt[i]
+    for i, j in enumerate(nxt):
         if j != -1:
             pair = (ids[i], ids[j])
-            counts[pair] = counts.get(pair, 0) + 1
-            occ.setdefault(pair, []).append(i)
+            if pair in occ:
+                occ[pair].append(i)
+            else:
+                occ[pair] = [i]
+    counts = {pair: len(at) for pair, at in occ.items()}
 
     # Lazy max-heap keyed by (-count, merged bytes, left bytes); stale entries
     # are skipped when their recorded count no longer matches.
-    heap: list[tuple[int, bytes, bytes, tuple[int, int]]] = []
-
-    def push(pair: tuple[int, int]) -> None:
-        c = counts.get(pair, 0)
-        if c >= MIN_PAIR_COUNT:
-            a, b = pair
-            heapq.heappush(heap, (-c, tokens[a] + tokens[b], tokens[a], pair))
-
-    # Pairs whose count changed during the current merge's sweep; each is
-    # pushed once, with its final count, when the sweep ends.
-    touched: set[tuple[int, int]] = set()
-
-    def bump(pair: tuple[int, int], delta: int, left_pos: int | None = None) -> None:
-        c = counts.get(pair, 0) + delta
-        if c <= 0:
-            counts.pop(pair, None)
-        else:
-            counts[pair] = c
-        if delta > 0 and left_pos is not None:
-            occ.setdefault(pair, []).append(left_pos)
-        touched.add(pair)
-
-    for pair in counts:
-        push(pair)
+    heap = [(-c, tokens[a] + tokens[b], tokens[a], (a, b))
+            for (a, b), c in counts.items() if c >= MIN_PAIR_COUNT]
+    heapq.heapify(heap)
 
     while len(tokens) < vocab_size and heap:
         negc, _, _, pair = heapq.heappop(heap)
@@ -177,12 +176,14 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
         new_id = len(tokens)
         tokens.append(tokens[a] + tokens[b])
         merges.append(pair)
+        # Pairs whose count changed during this merge's sweep; each is pushed
+        # once, with its final count, when the sweep ends.
+        touched: set[tuple[int, int]] = set()
 
         # Occurrence lists may hold stale or duplicate positions; validation
         # against the live linked list filters them. Ascending order gives the
         # same greedy left-to-right semantics as encode() ("aaa" -> [aa, a]).
-        positions = sorted(set(occ.pop(pair, ())))
-        for i in positions:
+        for i in sorted(set(occ.pop(pair, ()))):
             if ids[i] != a:
                 continue
             j = nxt[i]
@@ -190,25 +191,58 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
                 continue
             p, n = prv[i], nxt[j]
             if p != -1:
-                bump((ids[p], a), -1)
+                gone = (ids[p], a)
+                c = counts.get(gone, 0) - 1
+                if c > 0:
+                    counts[gone] = c
+                else:
+                    counts.pop(gone, None)
+                touched.add(gone)
             if n != -1:
-                bump((b, ids[n]), -1)
+                gone = (b, ids[n])
+                c = counts.get(gone, 0) - 1
+                if c > 0:
+                    counts[gone] = c
+                else:
+                    counts.pop(gone, None)
+                touched.add(gone)
             ids[i] = new_id
             ids[j] = -1
             nxt[i] = n
             if n != -1:
                 prv[n] = i
             if p != -1:
-                bump((ids[p], new_id), +1, p)
+                made = (ids[p], new_id)
+                counts[made] = counts.get(made, 0) + 1
+                if made in occ:
+                    occ[made].append(p)
+                else:
+                    occ[made] = [p]
+                touched.add(made)
             if n != -1:
-                bump((new_id, ids[n]), +1, i)
+                made = (new_id, ids[n])
+                counts[made] = counts.get(made, 0) + 1
+                if made in occ:
+                    occ[made].append(i)
+                else:
+                    occ[made] = [i]
+                touched.add(made)
         counts.pop(pair, None)
         for t in touched:
-            push(t)
-        touched.clear()
+            c = counts.get(t, 0)
+            if c >= MIN_PAIR_COUNT:
+                x, y = t
+                heapq.heappush(heap, (-c, tokens[x] + tokens[y], tokens[x], t))
 
+    streams: list[TokenSeq] = []
+    for i in starts:
+        seq = []
+        while i != -1:
+            seq.append(ids[i])
+            i = nxt[i]
+        streams.append(seq)
     log.info(kv(event="bpe_trained", vocab_size=len(tokens), merges=len(merges)))
-    return Vocab(merges)
+    return Vocab(merges), streams
 
 
 def encode(vocab: Vocab, text: str) -> TokenSeq:
@@ -289,7 +323,7 @@ def _token_from_json(entry) -> bytes:
         return entry.encode("utf-8")
     if isinstance(entry, dict) and "b64" in entry:
         return base64.b64decode(entry["b64"])
-    raise DataFormatError(f"unrecognized token entry {entry!r}")
+    raise ValueError(f"unrecognized token entry {entry!r}")
 
 
 def save_vocab(vocab: Vocab, path: str | Path) -> None:
@@ -303,7 +337,8 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     """Read a vocabulary file. Only its merges define the vocabulary; its
-    special ids must be SPECIAL and its token table the one the merges make."""
+    special ids must be SPECIAL and its token table the one the merges make.
+    Every `DataFormatError` it raises names the file."""
     try:
         doc = json.loads(read_text(path, "vocab file"))
         merges = [(a, b) for a, b in doc["merges"]]
@@ -315,7 +350,10 @@ def load_vocab(path: str | Path) -> Vocab:
         raise DataFormatError(f"vocab file {path}: special ids must be {SPECIAL}, got {special!r}")
     if not all(type(i) is int for pair in merges for i in pair):
         raise DataFormatError(f"vocab file {path}: merge ids must be integers")
-    vocab = Vocab(merges)
+    try:
+        vocab = Vocab(merges)
+    except DataFormatError as exc:
+        raise DataFormatError(f"vocab file {path}: {exc}") from exc
     if tokens != vocab.tokens:
         raise DataFormatError(f"vocab file {path}: its tokens are not the ones its merges make")
     return vocab

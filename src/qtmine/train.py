@@ -1,8 +1,10 @@
 """Masked-language-model training.
 
-Documents are encoded, wrapped in <bos>/<eos>, and chopped into fixed-size
-windows. Each epoch re-masks every window with fresh randomness (dynamic
-masking), so a window seen in ten epochs is seen under ten different masks.
+Documents arrive as token streams, one per document: encoded once, or as BPE
+training hands them back. Each is wrapped in <bos>/<eos> and chopped into
+fixed-size windows. Each epoch re-masks every window with fresh randomness
+(dynamic masking), so a window seen in ten epochs is seen under ten different
+masks.
 Optimization is Adam with linear warmup followed by linear decay to zero.
 
 Pretraining (`train`) and k-shot fine-tuning (`kshot_finetune`) differ only
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import model as M
 from .errors import DataFormatError, QtmineError
-from .tokenizer import Vocab, encode
+from .tokenizer import TokenSeq, Vocab, encode
 from .util import get_logger, kv
 
 logger = get_logger()
@@ -94,20 +96,24 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
     return base_lr * (total_steps - step) / (total_steps - warmup)
 
 
-def build_windows(vocab: Vocab, texts: Sequence[str], max_seq: int) -> list[np.ndarray]:
-    """Encode texts, wrap in <bos>/<eos>, slice into windows of at most max_seq.
-
-    Windows that contain no maskable (non-special) token are dropped.
-    """
+def window_streams(vocab: Vocab, streams: Sequence[TokenSeq], max_seq: int) -> list[np.ndarray]:
+    """Wrap each token stream in <bos>/<eos> and slice it into windows of at
+    most max_seq. Windows that contain no maskable (non-special) token are
+    dropped."""
     specials = vocab.special_ids
     windows: list[np.ndarray] = []
-    for text in texts:
-        ids = [vocab.bos_id] + encode(vocab, text) + [vocab.eos_id]
+    for stream in streams:
+        ids = [vocab.bos_id] + stream + [vocab.eos_id]
         for start in range(0, len(ids), max_seq):
             chunk = ids[start:start + max_seq]
             if any(t not in specials for t in chunk):
                 windows.append(np.asarray(chunk, dtype=np.int64))
     return windows
+
+
+def build_windows(vocab: Vocab, texts: Sequence[str], max_seq: int) -> list[np.ndarray]:
+    """Encode texts, then window their token streams (`window_streams`)."""
+    return window_streams(vocab, [encode(vocab, text) for text in texts], max_seq)
 
 
 def dynamic_mask(rng: np.random.Generator, row: np.ndarray, vocab: Vocab,
@@ -209,19 +215,21 @@ def eval_ce(params: M.Params, batches: Sequence[MaskedBatch]) -> float | None:
 def train(
     params: M.Params,
     vocab: Vocab,
-    train_texts: Sequence[str],
+    train_streams: Sequence[TokenSeq],
     cfg: TrainConfig,
     seed: int | np.random.SeedSequence,
-    eval_texts: Sequence[str] = (),
+    eval_streams: Sequence[TokenSeq] = (),
 ) -> TrainResult:
     """Run MLM training in place on `params` and return the result.
 
+    The documents come as token streams, one per document: `encode` of each
+    text, or the streams `train_and_encode` returns with the vocabulary.
     The learning-rate schedule is computed from the full planned step count;
     `cfg.max_steps` truncates the run without changing the schedule shape.
     A non-finite loss aborts immediately.
     """
     max_seq = params.config.max_seq
-    windows = build_windows(vocab, train_texts, max_seq)
+    windows = window_streams(vocab, train_streams, max_seq)
     if not windows:
         raise QtmineError("no trainable windows: corpus is empty after encoding")
     rng = np.random.default_rng(seed)
@@ -231,8 +239,8 @@ def train(
     run_steps = total_steps if cfg.max_steps is None else min(total_steps, cfg.max_steps)
 
     eval_batches: list[MaskedBatch] = []
-    if eval_texts:
-        eval_windows = build_windows(vocab, eval_texts, max_seq)
+    if eval_streams:
+        eval_windows = window_streams(vocab, eval_streams, max_seq)
         eval_batches = _eval_batches(np.random.default_rng(rng.integers(2**63)),
                                      eval_windows, vocab, cfg)
 

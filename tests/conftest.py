@@ -11,7 +11,7 @@ import pytest
 
 import synth
 from qtmine.model import ModelConfig, Params, init_params
-from qtmine.tokenizer import Vocab, train_bpe
+from qtmine.tokenizer import TokenSeq, Vocab, train_and_encode, train_bpe
 from qtmine.train import TrainConfig, TrainResult, train
 
 # Wall-clock cost of building the heavyweight session fixtures, so the
@@ -30,6 +30,7 @@ class SynthRun:
     train_cfg: TrainConfig
     result: TrainResult
     texts: list[str]
+    streams: list[TokenSeq]  # each text's token ids, as BPE training handed them back
 
     @property
     def params(self) -> Params:
@@ -66,25 +67,32 @@ def synth_texts():
 
 
 @pytest.fixture(scope="session")
-def synth_vocab(synth_texts):
+def synth_tokenized(synth_texts):
+    """The synthetic vocabulary and each synthetic text's token stream."""
     t0 = time.perf_counter()
-    vocab = train_bpe(synth_texts, synth.SYNTH_VOCAB_SIZE)
+    vocab, streams = train_and_encode(synth_texts, synth.SYNTH_VOCAB_SIZE)
     TIMINGS["synth_vocab"] = time.perf_counter() - t0
     assert vocab.size == synth.SYNTH_VOCAB_SIZE
-    return vocab
+    return vocab, streams
 
 
 @pytest.fixture(scope="session")
-def synth_run(synth_texts, synth_vocab):
-    config = ModelConfig(vocab_size=synth_vocab.size, n_layers=2, n_heads=4,
+def synth_vocab(synth_tokenized):
+    return synth_tokenized[0]
+
+
+@pytest.fixture(scope="session")
+def synth_run(synth_texts, synth_tokenized):
+    vocab, streams = synth_tokenized
+    config = ModelConfig(vocab_size=vocab.size, n_layers=2, n_heads=4,
                          d_model=128, d_ff=512, max_seq=128)
     params = init_params(config, seed=0)
     t0 = time.perf_counter()
-    result = train(params, synth_vocab, synth_texts, MAIN_TRAIN_CFG, seed=0,
-                   eval_texts=synth_texts[::10])
+    result = train(params, vocab, streams, MAIN_TRAIN_CFG, seed=0,
+                   eval_streams=streams[::10])
     TIMINGS["synth_train"] = time.perf_counter() - t0
-    return SynthRun(vocab=synth_vocab, config=config, train_cfg=MAIN_TRAIN_CFG,
-                    result=result, texts=synth_texts)
+    return SynthRun(vocab=vocab, config=config, train_cfg=MAIN_TRAIN_CFG,
+                    result=result, texts=synth_texts, streams=streams)
 
 
 @pytest.fixture(scope="session")

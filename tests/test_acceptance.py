@@ -244,7 +244,7 @@ def test_end_to_end_synthetic_training(synth_run):
     wins = 0
     for seed in range(1, 11):
         fresh = M.init_params(synth_run.config, seed=seed)
-        res = T.train(fresh, vocab, synth_run.texts, seed_cfg, seed=seed)
+        res = T.train(fresh, vocab, synth_run.streams, seed_cfg, seed=seed)
         assert res.steps <= 2000
         ranked = Q.rank_by_qt(
             res.params, vocab, ["dolavir", "tamivir"],

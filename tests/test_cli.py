@@ -46,7 +46,7 @@ def test_parse_years_comma_list_sorts_and_dedups():
 
 
 @pytest.mark.parametrize("spec", ["abc", "2005:x", "2005,,2010", "", "1800:1801", "2150",
-                                  "0:2000000000"])
+                                  "0:2000000000", "2011:2009"])
 def test_parse_years_rejects_non_years(spec):
     with pytest.raises(DataFormatError, match="--years"):
         _parse_years(spec)
@@ -749,6 +749,8 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return ["--config", config, "fc", "--years", "abc", "--outdir", str(tmp_path)]
     if case == "fc-years-out-of-range":
         return ["--config", config, "fc", "--years", "1800:1801", "--outdir", str(tmp_path / "out")]
+    if case == "fc-years-reversed":
+        return ["--config", config, "fc", "--years", "2011:2009", "--outdir", str(tmp_path / "out")]
     if case == "max-steps-zero":
         return ["--config", config, *train, "--max-steps", "0"]
     if case == "max-steps-negative":
@@ -826,6 +828,7 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("fc-target-empty", "EvalError"),
     ("fc-template-no-slot", "TemplateError"),
     ("fc-years-out-of-range", "DataFormatError"),
+    ("fc-years-reversed", "DataFormatError"),
 ])
 def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
     rc, err = run_cli_process(_bad_input_args(ws, tmp_path, case))

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import synth
-from qtmine.corpus import ApprovalRecord, TrialRecord, candidates_at_year, load_corpus
+from qtmine import train as T
+from qtmine.corpus import (ApprovalRecord, TrialRecord, candidates_at_year, filter_by_year,
+                           load_corpus)
 from qtmine.errors import EvalError, TemplateError
 from qtmine.fcrank import (
     HIT_KS,
@@ -23,8 +25,10 @@ from qtmine.fcrank import (
     train_at_cutoff,
     write_fc_outputs,
 )
+from qtmine.model import ModelConfig, init_params
 from qtmine.qt import QtScore, RankedItem
-from qtmine.train import TrainConfig
+from qtmine.tokenizer import train_bpe
+from qtmine.train import TrainConfig, build_windows
 
 MODEL_DIMS = {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 64, "max_seq": 64}
 FC_TRAIN = TrainConfig(lr=1e-3, batch_size=16, n_epochs=2)
@@ -149,6 +153,29 @@ def test_train_at_cutoff_needs_dated_documents(fc_docs):
     with pytest.raises(EvalError):
         train_at_cutoff(fc_docs, 1990, vocab_size=FC_VOCAB, model_dims=MODEL_DIMS,
                         train_cfg=FC_TRAIN, base_seed=0)
+
+
+def test_train_at_cutoff_matches_the_two_pass_reference(fc_docs, monkeypatch):
+    # The reference tokenizes each text twice, as fc did before BPE training
+    # handed back its streams: train_bpe, then build_windows encodes the texts
+    # again, then the same training runs on those windows.
+    cutoff, base_seed = 2002, 4
+    vocab, params = train_at_cutoff(fc_docs, cutoff, vocab_size=FC_VOCAB, model_dims=MODEL_DIMS,
+                                    train_cfg=FC_TRAIN, base_seed=base_seed)
+
+    texts = [d.text() for d in filter_by_year(fc_docs, cutoff).documents]
+    ref_vocab = train_bpe(texts, FC_VOCAB)
+    windows = build_windows(ref_vocab, texts, MODEL_DIMS["max_seq"])
+    seed_init, seed_train = np.random.SeedSequence([base_seed, cutoff]).spawn(2)
+    ref = init_params(ModelConfig(vocab_size=ref_vocab.size, **MODEL_DIMS), seed_init)
+    # `train` windows its streams in this one call; the reference's windows
+    # stand in for it, so the streams argument goes unread.
+    monkeypatch.setattr(T, "window_streams", lambda *_: windows)
+    T.train(ref, ref_vocab, None, FC_TRAIN, seed_train)
+
+    assert vocab == ref_vocab
+    for (name, got), (_, want) in zip(params.named_tensors(), ref.named_tensors()):
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_fc_analysis_structure_and_aggregation(fc_docs, tmp_path):

@@ -2,10 +2,12 @@
 
 The trainer and encoder are each checked against a deliberately naive
 reference implementation (quadratic rescans, no heap, no caching) so that a
-bookkeeping bug in the fast path cannot hide.
+bookkeeping bug in the fast path cannot hide. The token streams training hands
+back are checked against both encoders.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qtmine.tokenizer import (
     encode,
     load_vocab,
     save_vocab,
+    train_and_encode,
     train_bpe,
 )
 
@@ -99,30 +102,74 @@ def random_texts(rng, n):
     return out
 
 
-def test_trainer_matches_naive_reference():
-    vocab = train_bpe(SMALL_CORPUS, 330)
-    ref_tokens, ref_merges = naive_train(SMALL_CORPUS, 330)
+def check_training(texts, vocab_size):
+    """Train on `texts` and check the result against the naive references:
+    the merges of `naive_train`, and for each text a stream equal to its
+    `encode` and `naive_encode`. Encoding one text at a time, neither can join
+    tokens across a document boundary, so no stream does."""
+    vocab, streams = train_and_encode(texts, vocab_size)
+    ref_tokens, ref_merges = naive_train(texts, vocab_size)
     assert vocab.merges == ref_merges
     assert vocab.tokens == ref_tokens
+    assert vocab == train_bpe(texts, vocab_size)
+    assert len(streams) == len(texts)
+    for text, stream in zip(texts, streams):
+        assert stream == encode(vocab, text) == naive_encode(vocab, text), repr(text[:20])
+    return vocab, streams
+
+
+def test_trainer_matches_naive_reference():
+    check_training(SMALL_CORPUS, 330)
 
 
 def test_trainer_matches_naive_reference_unicode():
-    texts = ["αβ αβ αβγ", "日本語 日本語", "ßß ßß ßß"]
-    vocab = train_bpe(texts, 280)
-    ref_tokens, ref_merges = naive_train(texts, 280)
-    assert vocab.merges == ref_merges
-    assert vocab.tokens == ref_tokens
+    check_training(["αβ αβ αβγ", "日本語 日本語", "ßß ßß ßß"], 280)
 
 
 def test_trainer_matches_naive_reference_over_hundreds_of_merges():
     # Enough merges that one sweep touches many pairs at once, so the heap
     # pushes batched at the end of each sweep are exercised.
-    texts = random_texts(np.random.default_rng(11), 300)
-    vocab = train_bpe(texts, 700)
-    ref_tokens, ref_merges = naive_train(texts, 700)
-    assert len(ref_merges) >= 300
-    assert vocab.merges == ref_merges
-    assert vocab.tokens == ref_tokens
+    vocab, _ = check_training(random_texts(np.random.default_rng(11), 300), 700)
+    assert len(vocab.merges) >= 300
+
+
+def test_trainer_matches_naive_reference_on_adversarial_runs():
+    # Long runs of one merge rank, overlapping occurrences, and text made of
+    # multi-byte code points only, so every merge joins partial characters.
+    texts = ["a" * 64, "ab" * 64, "日本語" * 20, "αβγ🌊" * 20, "a" * 513, "ab" * 300 + "a",
+             "b" + "ab" * 300, "aab" * 170]
+    vocab, _ = check_training(texts * 2, 400)
+    assert len(vocab.merges) > 10
+
+
+def test_trainer_streams_of_empty_texts_are_empty():
+    _, streams = check_training(["", "the cat sat", "", "the cat sat", ""], 300)
+    assert streams[0] == streams[2] == streams[4] == []
+    assert streams[1] == streams[3] != []
+
+
+def test_trainer_streams_on_round_trip_strings():
+    texts = synth.round_trip_strings(200)
+    vocab, streams = check_training(texts, 400)
+    assert all(decode(vocab, stream) == text for text, stream in zip(texts, streams))
+
+
+def pair_counts(streams):
+    return Counter(pair for stream in streams for pair in zip(stream, stream[1:]))
+
+
+def test_trainer_streams_when_vocab_size_stops_training():
+    vocab, streams = check_training(SMALL_CORPUS, 270)
+    assert vocab.size == 270
+    assert max(pair_counts(streams).values()) >= MIN_PAIR_COUNT
+
+
+def test_trainer_streams_when_min_pair_count_stops_training():
+    # Every pair left is seen fewer than MIN_PAIR_COUNT times, long before
+    # the vocabulary is full.
+    vocab, streams = check_training(SMALL_CORPUS + ["xyzzy"], 5000)
+    assert vocab.size < 5000
+    assert max(pair_counts(streams).values()) < MIN_PAIR_COUNT
 
 
 def test_encoder_matches_naive_reference():
@@ -132,9 +179,11 @@ def test_encoder_matches_naive_reference():
         assert encode(vocab, text) == naive_encode(vocab, text), repr(text)
 
 
-def test_encoder_matches_naive_reference_on_synth_corpus(synth_texts, synth_vocab):
-    for text in synth_texts:
-        assert encode(synth_vocab, text) == naive_encode(synth_vocab, text), repr(text)
+def test_encoder_matches_naive_reference_on_synth_corpus(synth_texts, synth_tokenized):
+    vocab, streams = synth_tokenized
+    assert len(streams) == len(synth_texts)
+    for text, stream in zip(synth_texts, streams):
+        assert stream == encode(vocab, text) == naive_encode(vocab, text), repr(text)
 
 
 def test_encoder_matches_naive_reference_on_round_trip_strings(synth_texts):
@@ -181,9 +230,10 @@ def test_round_trip_edge_cases():
 def test_merges_never_cross_document_boundaries():
     # Each document is a single character, so no pair ever exists even
     # though the concatenation "ababab..." would be highly compressible.
-    vocab = train_bpe(["a", "b"] * 50, 400)
+    vocab, streams = train_and_encode(["a", "b"] * 50, 400)
     assert vocab.merges == []
     assert vocab.size == N_BYTES + len(SPECIAL_NAMES)
+    assert streams == [[ord("a")], [ord("b")]] * 50
 
 
 def test_special_ids_and_layout():
@@ -333,6 +383,8 @@ def _corrupt(doc, case):
         merges[0][0] += 0.9  # int() would read it as the merge it was
     elif case == "bool-merge-id":
         merges[0][0] = True
+    elif case == "token-entry-a-number":
+        tokens[5] = 5
     else:
         raise AssertionError(case)
 
@@ -349,6 +401,7 @@ CORRUPTIONS = {
     "merge-uses-special": "involves a special token",
     "float-merge-id": "must be integers",
     "bool-merge-id": "must be integers",
+    "token-entry-a-number": "unrecognized token entry 5",
 }
 
 
@@ -359,8 +412,9 @@ def test_load_vocab_rejects_a_corrupt_file(tmp_path, case):
     doc = json.loads(path.read_text(encoding="utf-8"))
     _corrupt(doc, case)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(DataFormatError, match=CORRUPTIONS[case]):
+    with pytest.raises(DataFormatError, match=CORRUPTIONS[case]) as exc:
         load_vocab(path)
+    assert str(path) in str(exc.value)  # every message names the file
 
 
 def test_load_vocab_rejects_json_nested_too_deeply(tmp_path):

@@ -43,6 +43,10 @@ def small_vocab():
     return train_bpe(TEXTS, 290)
 
 
+def encoded(vocab, texts):
+    return [encode(vocab, text) for text in texts]
+
+
 def small_model(vocab, seed=0, max_seq=32):
     cfg = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32,
                       max_seq=max_seq, vocab_size=vocab.size)
@@ -197,7 +201,7 @@ def test_build_windows_wraps_and_chunks(small_vocab):
 def test_build_windows_drops_special_only(small_vocab):
     assert build_windows(small_vocab, [""], max_seq=8) == []
     with pytest.raises(QtmineError):
-        train(small_model(small_vocab), small_vocab, [""], TrainConfig(n_epochs=1), seed=0)
+        train(small_model(small_vocab), small_vocab, [[]], TrainConfig(n_epochs=1), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +211,14 @@ def test_build_windows_drops_special_only(small_vocab):
 def test_train_is_bit_reproducible(small_vocab):
     vocab = small_vocab
     cfg = TrainConfig(lr=1e-3, batch_size=4, n_epochs=2, eval_every=3)
-    a = train(small_model(vocab, seed=1), vocab, TEXTS, cfg, seed=5, eval_texts=TEXTS[:4])
-    b = train(small_model(vocab, seed=1), vocab, TEXTS, cfg, seed=5, eval_texts=TEXTS[:4])
+    streams = encoded(vocab, TEXTS)
+    a = train(small_model(vocab, seed=1), vocab, streams, cfg, seed=5, eval_streams=streams[:4])
+    b = train(small_model(vocab, seed=1), vocab, streams, cfg, seed=5, eval_streams=streams[:4])
     assert a.steps == b.steps
     assert a.curve == b.curve
     for (name, ta), (_, tb) in zip(a.params.named_tensors(), b.params.named_tensors()):
         np.testing.assert_array_equal(ta, tb, err_msg=name)
-    c = train(small_model(vocab, seed=1), vocab, TEXTS, cfg, seed=6)
+    c = train(small_model(vocab, seed=1), vocab, streams, cfg, seed=6)
     assert not np.array_equal(a.params.emb, c.params.emb)
 
 
@@ -272,13 +277,14 @@ def golden_run(tmp_path_factory):
     texts = synth.synth_texts()[:120]
     vocab = train_bpe(texts, 400)
     save_vocab(vocab, out / "vocab.json")
-    ids = np.asarray([t for text in texts for t in encode(vocab, text)], dtype="<i8")
+    streams = encoded(vocab, texts)
+    ids = np.asarray([t for stream in streams for t in stream], dtype="<i8")
     cfg = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32, max_seq=32,
                       vocab_size=vocab.size)
     params = init_params(cfg, seed=0)
-    result = train(params, vocab, texts,
+    result = train(params, vocab, streams,
                    TrainConfig(lr=1e-3, batch_size=8, n_epochs=1, max_steps=12, eval_every=6),
-                   seed=0, eval_texts=texts[::10])
+                   seed=0, eval_streams=encoded(vocab, texts[::10]))
     save_checkpoint(params, out / "model.ckpt")
     return out, ids, result
 
@@ -307,7 +313,8 @@ def test_train_runs_in_place_and_reports_curve(small_vocab):
     vocab = small_vocab
     params = small_model(vocab, seed=2)
     cfg = TrainConfig(lr=1e-3, batch_size=8, n_epochs=2, eval_every=2)
-    res = train(params, vocab, TEXTS, cfg, seed=0, eval_texts=TEXTS[:6])
+    res = train(params, vocab, encoded(vocab, TEXTS), cfg, seed=0,
+                eval_streams=encoded(vocab, TEXTS[:6]))
     assert res.params is params
     assert res.steps == len(res.curve)
     assert [s for s, _, _ in res.curve] == list(range(1, res.steps + 1))
@@ -319,7 +326,7 @@ def test_train_runs_in_place_and_reports_curve(small_vocab):
 def test_train_max_steps_truncates(small_vocab):
     vocab = small_vocab
     cfg = TrainConfig(lr=1e-3, batch_size=4, n_epochs=5, max_steps=3)
-    res = train(small_model(vocab), vocab, TEXTS, cfg, seed=0)
+    res = train(small_model(vocab), vocab, encoded(vocab, TEXTS), cfg, seed=0)
     assert res.steps == 3
     assert len(res.curve) == 3
 
