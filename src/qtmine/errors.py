@@ -18,7 +18,8 @@ class OutputError(QtmineError, OSError):
 
 
 class TemplateError(QtmineError):
-    """A query template is unusable (no mask placeholder, missing slot, too long)."""
+    """A query cannot be built or scored: no mask placeholder, a slot without its
+    text or text without its slot, or more tokens than the model's max_seq."""
 
 
 class EvalError(QtmineError):

@@ -24,9 +24,9 @@ import numpy as np
 from . import model as M
 from . import train as T
 from .corpus import ApprovalRecord, DocumentSet, TrialRecord, candidates_at_year, filter_by_year
-from .errors import EvalError, TemplateError
+from .errors import EvalError
 from .qt import (DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, DRUG_SLOT, RankedItem, TargetSpec,
-                 rank_by_qt)
+                 check_slot, rank_by_qt)
 from .tokenizer import Vocab, train_and_encode
 from .util import csv_bytes, get_logger, kv, write_atomic
 
@@ -144,20 +144,16 @@ def fc_analysis(
         raise EvalError("no cutoff years given")
     if not target_phrase:
         raise EvalError("target phrase is empty")  # no vocabulary gives it a token
-    if DRUG_SLOT not in template:
-        raise TemplateError(f"ranking template must contain {DRUG_SLOT}")
-
-    shared: tuple[Vocab, M.Params] | None = None
+    check_slot(template, DRUG_SLOT, True)
+    horizon = None  # the cutoff of the one model the weaker mode trains
     if not retrain:
-        # The weaker mode deliberately trains once on the full dated corpus.
         dated = [d.publish_year for d in docs.documents if d.publish_year is not None]
         if not dated:
             raise EvalError("no dated documents in the corpus")
-        shared = train_at_cutoff(docs, max(max(dated), max(years)), vocab_size=vocab_size,
-                                 model_dims=model_dims, train_cfg=train_cfg,
-                                 base_seed=base_seed)
+        horizon = max(max(dated), max(years))
 
     runs: list[FcRun] = []
+    model_cutoff = None
     for cutoff in years:
         candidates = candidates_at_year(trials, cutoff)
         after = tuple(sorted((a.drug, a.approval_year) for a in approvals
@@ -167,12 +163,12 @@ def fc_analysis(
             runs.append(FcRun(cutoff_year=cutoff, candidates=(), ranked=(),
                               approvals_after=after))
             continue
-        if retrain:
-            vocab, params = train_at_cutoff(docs, cutoff, vocab_size=vocab_size,
+        train_to = cutoff if retrain else horizon
+        if train_to != model_cutoff:
+            vocab, params = train_at_cutoff(docs, train_to, vocab_size=vocab_size,
                                             model_dims=model_dims, train_cfg=train_cfg,
                                             base_seed=base_seed)
-        else:
-            vocab, params = shared  # type: ignore[misc]
+            model_cutoff = train_to
         target = TargetSpec.from_phrase(vocab, target_phrase)
         ranked = rank_by_qt(params, vocab, candidates, template=template, target=target)
         runs.append(FcRun(cutoff_year=cutoff, candidates=tuple(candidates),

@@ -6,10 +6,11 @@ query token — the softmax over the sequence of each position's hidden-state
 affinity with the mean target embedding.
 
 Passage highlighting splits text into sentences whose spans tile the passage
-exactly, scores all sentences through a masked template against the target
-term in one batched model call, max-normalizes, and renders to ANSI (5
-intensity buckets) and to a standalone HTML file (one span per sentence, score
-kept at 6 decimals).
+exactly, renders each sentence into the template's `{sentence}` slot (as
+literal text, cut at a whole character if the query is too long), scores all
+sentences against the target term in one batched model call, max-normalizes,
+and renders to ANSI (5 intensity buckets) and to a standalone HTML file (one
+span per sentence, score kept at 6 decimals).
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import numpy as np
 from . import model as M
 from .errors import EvalError
 from .qt import QuerySpec, TargetSpec, predict_queries, score_probs
-from .tokenizer import Vocab, decode, encode
+from .tokenizer import Vocab, encode
 from .util import get_logger, kv, write_atomic
 
 logger = get_logger()
 
 DEFAULT_HIGHLIGHT_TEMPLATE = "{sentence} This concerns <mask> <mask>."
-SENTENCE_SLOT = "{sentence}"
 
 _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
 _ANSI_CODES = (None, 58, 100, 142, 184)  # background: none, then darker to brighter
@@ -113,10 +113,12 @@ def split_sentences(passage: str) -> list[tuple[int, int]]:
 
 
 def _fit_sentence(vocab: Vocab, sentence: str, template: str, max_seq: int) -> QuerySpec:
-    """Render the sentence into the template, truncating it if the query is too long."""
+    """Render the sentence into the template, truncating it at a token boundary
+    if the query is too long; a cut inside a character drops that character."""
     ids = encode(vocab, sentence)
     while True:
-        query = QuerySpec.render(vocab, template.replace(SENTENCE_SLOT, decode(vocab, ids)))
+        text = b"".join(vocab.tokens[t] for t in ids).decode("utf-8", "ignore")
+        query = QuerySpec.render(vocab, template, sentence=text)
         if len(query.ids) <= max_seq or not ids:
             return query
         overflow = len(query.ids) - max_seq
@@ -131,8 +133,6 @@ def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term:
     Whitespace-only sentences score zero; all other sentences are rendered
     and scored in one batched model call.
     """
-    if SENTENCE_SLOT not in template:
-        raise EvalError(f"highlight template must contain {SENTENCE_SLOT}")
     spans = split_sentences(passage)
     if not spans:
         raise EvalError("passage splits into zero sentences")

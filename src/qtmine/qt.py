@@ -1,73 +1,87 @@
 """Masked-token prediction and query-target scoring.
 
-A query is a text template with mask placeholders (and optionally a `{drug}`
-slot); a target is a phrase tokenized into a set of token ids. The score of a
-query against a target is, per masked position, the probability mass the model
-assigns to the target set, averaged over positions. With a singleton target
-this reduces exactly to the MLM probability of that token.
+A query is a text template with mask placeholders and optionally a `{drug}` or
+`{sentence}` slot; a target is a phrase tokenized into a set of token ids. The
+score of a query against a target is, per masked position, the probability
+mass the model assigns to the target set, averaged over positions. With a
+singleton target this reduces exactly to the MLM probability of that token.
 
-Every scoring feature reaches the model through `model.predict_masked`: a
-feature renders all of its queries, makes one batched call, and reads each
-query's score off its probability rows (`score_probs`). Batched results do not
-depend on the order of the queries, so rankings do not either.
+`QuerySpec.frame` builds every query. A template is split at its mask markers
+before its slots are filled, so slot text is literal: a `<mask>`, `{drug}` or
+`{sentence}` inside a drug name or sentence is plain text. Every scoring
+feature builds all of its queries, makes one batched `predict_queries` call,
+and reads each query's score off its probability rows (`score_probs`). Batched
+results do not depend on the order of the queries, so rankings do not either.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import model as M
 from .errors import EvalError, TemplateError
-from .tokenizer import SPECIAL_MARKERS, Vocab, encode
+from .tokenizer import SPECIAL_MARKERS, TokenSeq, Vocab, decode, encode
 from .util import get_logger, kv
 
 logger = get_logger()
 
 MASK_PLACEHOLDER = SPECIAL_MARKERS["mask"].decode("ascii")
 DRUG_SLOT = "{drug}"
+SENTENCE_SLOT = "{sentence}"
+_SLOTS = re.compile("|".join(map(re.escape, (DRUG_SLOT, SENTENCE_SLOT))))
 DEFAULT_RANK_TEMPLATE = "In clinical trials, {drug} demonstrated <mask> <mask> <mask>."
 DEFAULT_TARGET_PHRASE = "clinical trials efficacy"
 
 
+def check_slot(template: str, slot: str, given: bool) -> None:
+    """The slot rule: a template holds `slot` exactly when the slot's text is
+    given. A ranking template is always given a drug, so it needs `{drug}`."""
+    if (slot in template) != given:
+        raise TemplateError(f"template must contain {slot} exactly when its text is given "
+                            f"(given: {str(given).lower()}): {template!r}")
+
+
 @dataclass(frozen=True)
 class QuerySpec:
-    """A rendered query: token ids with mask tokens at placeholder positions."""
+    """A framed query: its text with slots filled and masks shown as markers,
+    its token ids, and the positions of its mask tokens."""
 
     template: str
     ids: tuple[int, ...]
     mask_positions: tuple[int, ...]
 
     @classmethod
-    def render(cls, vocab: Vocab, template: str, drug: str | None = None) -> "QuerySpec":
-        """Substitute `{drug}` if present and encode around the mask markers.
-
-        The query is wrapped in the same <bos>/<eos> markers used for training
-        windows. Text between markers is encoded piecewise, so a marker always
-        maps to exactly one mask token.
-        """
-        text = template
-        if DRUG_SLOT in text:
-            if drug is None:
-                raise TemplateError(f"template has a {DRUG_SLOT} slot but no drug was given")
-            text = text.replace(DRUG_SLOT, drug)
-        elif drug is not None:
-            raise TemplateError(f"template has no {DRUG_SLOT} slot for drug {drug!r}")
-        parts = text.split(MASK_PLACEHOLDER)
-        if len(parts) < 2:
-            raise TemplateError(f"template contains no {MASK_PLACEHOLDER} placeholder: {template!r}")
-        ids: list[int] = [vocab.bos_id]
-        positions: list[int] = []
-        for i, part in enumerate(parts):
-            if i > 0:
-                positions.append(len(ids))
-                ids.append(vocab.mask_id)
-            if part:
-                ids.extend(encode(vocab, part))
+    def frame(cls, vocab: Vocab, pieces: Sequence[TokenSeq]) -> "QuerySpec":
+        """`<bos>`, the pieces with one mask between each two, `<eos>`: the
+        same markers that wrap training windows."""
+        ids = [vocab.bos_id, *pieces[0]]
+        positions = []
+        for piece in pieces[1:]:
+            positions.append(len(ids))
+            ids += [vocab.mask_id, *piece]
         ids.append(vocab.eos_id)
-        return cls(template=template, ids=tuple(ids), mask_positions=tuple(positions))
+        text = MASK_PLACEHOLDER.join(decode(vocab, piece) for piece in pieces)
+        return cls(template=text, ids=tuple(ids), mask_positions=tuple(positions))
+
+    @classmethod
+    def render(cls, vocab: Vocab, template: str, drug: str | None = None,
+               sentence: str | None = None) -> "QuerySpec":
+        """Split the template at its mask markers, fill the `{drug}` and
+        `{sentence}` slots in each piece, and frame the encoded pieces."""
+        fill = {DRUG_SLOT: drug, SENTENCE_SLOT: sentence}
+        for slot, text in fill.items():
+            check_slot(template, slot, text is not None)
+        pieces = template.split(MASK_PLACEHOLDER)
+        if len(pieces) < 2:
+            raise TemplateError(f"template contains no {MASK_PLACEHOLDER} placeholder: {template!r}")
+        return cls.frame(vocab, [encode(vocab, _SLOTS.sub(lambda m: fill[m.group()], piece))
+                                 for piece in pieces])
 
 
 @dataclass(frozen=True)
@@ -84,11 +98,7 @@ class TargetSpec:
 
     @classmethod
     def from_phrase(cls, vocab: Vocab, phrase: str) -> "TargetSpec":
-        seen: dict[int, None] = {}
-        for t in encode(vocab, phrase):
-            if t not in vocab.special_ids:
-                seen.setdefault(t)
-        return cls(phrase=phrase, ids=tuple(seen))
+        return cls(phrase=phrase, ids=tuple(dict.fromkeys(encode(vocab, phrase))))
 
     @classmethod
     def from_ids(cls, vocab: Vocab, ids: Iterable[int]) -> "TargetSpec":
@@ -122,37 +132,26 @@ def masked_span_query(vocab: Vocab, text: str, start: int, end: int) -> tuple[Qu
     absorbed into the masked span rather than fragmenting the context; the
     returned gold ids are exactly the tokens the mask positions replaced.
     """
-    data = text.encode("utf-8")
-    if not 0 <= start < end <= len(data):
-        raise EvalError(f"byte span [{start}, {end}) invalid for text of {len(data)} bytes")
+    size = len(text.encode("utf-8"))
+    if not 0 <= start < end <= size:
+        raise EvalError(f"byte span [{start}, {end}) invalid for text of {size} bytes")
     ids = encode(vocab, text)
-    offsets = []
-    pos = 0
-    for t in ids:
-        width = len(vocab.tokens[t])
-        offsets.append((pos, pos + width))
-        pos += width
-    masked = [i for i, (s, e) in enumerate(offsets) if s < end and e > start]
-    if not masked:
-        raise EvalError("byte span covers no tokens")
-    out_ids = [vocab.bos_id]
-    positions = []
-    for i, t in enumerate(ids):
-        if i in masked:
-            positions.append(len(out_ids))
-            out_ids.append(vocab.mask_id)
-        else:
-            out_ids.append(t)
-    out_ids.append(vocab.eos_id)
-    shown = (data[: offsets[masked[0]][0]].decode("utf-8", "replace")
-             + MASK_PLACEHOLDER * len(masked)
-             + data[offsets[masked[-1]][1]:].decode("utf-8", "replace"))
-    query = QuerySpec(template=shown, ids=tuple(out_ids), mask_positions=tuple(positions))
-    return query, tuple(ids[i] for i in masked)
+    ends = list(accumulate(len(vocab.tokens[t]) for t in ids))
+    # The tokens from the one holding byte `start` through the one holding byte `end - 1`.
+    lo, hi = bisect_right(ends, start), bisect_left(ends, end) + 1
+    query = QuerySpec.frame(vocab, [ids[:lo], *[[]] * (hi - lo - 1), ids[hi:]])
+    return query, tuple(ids[lo:hi])
 
 
 def predict_queries(params: M.Params, queries: Sequence[QuerySpec]) -> list[np.ndarray]:
-    """Per query, one probability row over the vocabulary per masked position."""
+    """Per query, one probability row over the vocabulary per masked position.
+
+    A query longer than the model's `max_seq` is a `TemplateError` naming it."""
+    max_seq = params.config.max_seq
+    for q in queries:
+        if len(q.ids) > max_seq:
+            raise TemplateError(f"query is {len(q.ids)} tokens, over max_seq {max_seq}: "
+                                f"{q.template!r}")
     return M.predict_masked(params, [q.ids for q in queries],
                             [q.mask_positions for q in queries])
 
@@ -234,8 +233,7 @@ def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
     deterministic and independent of the input order. An empty candidate list
     yields an empty ranking.
     """
-    if DRUG_SLOT not in template:
-        raise TemplateError(f"ranking template must contain {DRUG_SLOT}")
+    check_slot(template, DRUG_SLOT, True)
     if target is None:
         target = TargetSpec.from_phrase(vocab, DEFAULT_TARGET_PHRASE)
     if not candidates:
@@ -257,8 +255,8 @@ def permuted_analogy(params: M.Params, vocab: Vocab, q_term: str, t_term: str,
     """
     if not q_term or not t_term:
         raise EvalError("both terms must be nonempty")
-    prompt = f"{q_term} is to {t_term} as {q_term} is to {MASK_PLACEHOLDER}"
-    query = QuerySpec.render(vocab, prompt)
+    prompt = encode(vocab, f"{q_term} is to {t_term} as {q_term} is to ")
+    query = QuerySpec.frame(vocab, [prompt, []])
     probs = mlm_predict(params, query)[0]
     exclude: set[int] = set()
     for term in (q_term, t_term):

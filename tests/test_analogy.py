@@ -13,6 +13,7 @@ import pytest
 
 from qtmine.analogy import (
     AnalogyReport,
+    _item_correct,
     analogy_sentence,
     compare_kshot,
     eval_analogies,
@@ -76,6 +77,24 @@ def test_render_rejects_empty_answer(tiny_setup):
     vocab, _ = tiny_setup
     with pytest.raises(EvalError):
         render_analogy(vocab, AnalogyItem("x#0", "x", "grammar", "a", "b", "c", " "))
+
+
+def test_item_correct_matches_the_topk_readout_under_ties(tiny_setup):
+    # Rows of few distinct values tie often, so the id tie-break decides.
+    vocab, _ = tiny_setup
+    rng = np.random.default_rng(11)
+    non_special = vocab.non_special_ids
+    for _ in range(1000):
+        probs = (rng.integers(0, 4, size=(3, vocab.size)) / 8).astype(np.float32)
+        gold = rng.choice(non_special, size=3)
+        if rng.random() < 0.5:  # often put the gold id among the leaders
+            probs[np.arange(3), gold] = probs.max(axis=1)
+        ok1 = ok5 = True
+        for p, g in zip(probs, gold):
+            top = [tid for tid, _, _ in topk_tokens(p, vocab, 5)]
+            ok1 = ok1 and g == top[0]
+            ok5 = ok5 and g in top
+        assert _item_correct(probs, gold, vocab) == (ok1 and ok5, ok5)
 
 
 def test_eval_matches_per_item_recomputation(tiny_setup):

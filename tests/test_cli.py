@@ -838,6 +838,16 @@ def test_bad_input_is_a_typed_error(ws, tmp_path, case, error_type):
         assert "event=train_start" not in err  # rejected before the first cutoff trains
 
 
+def test_rank_with_a_drug_too_long_for_max_seq_names_it(ws, tmp_path):
+    drug = "zq" * 100
+    trials = tmp_path / "trials.csv"
+    trials.write_text(f"trial_id,year,drugs,condition\nT1,2001,{drug},flu\n", encoding="utf-8")
+    rc, err = run_cli_process(["--config", ws["config"], "--trials", str(trials), "rank",
+                               *model_args(ws), "--year", "2002"])
+    assert_one_typed_error(rc, err, "TemplateError")
+    assert drug in err
+
+
 @pytest.mark.parametrize("command,flag", [
     ("rank", "--out"), ("rank", "--out-json"),
     ("analogies", "--out-csv"), ("analogies", "--out-json"),

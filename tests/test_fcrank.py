@@ -250,6 +250,23 @@ def test_fc_analysis_shared_model_mode(fc_docs):
     assert len(runs[0].ranked) == 2 and len(runs[1].ranked) == 4
 
 
+@pytest.mark.parametrize("retrain", [True, False])
+def test_fc_analysis_trains_once_per_model(fc_docs, monkeypatch, retrain):
+    # Retraining trains at each scored cutoff; the weaker mode trains once, at
+    # the later of the last dated document and the last cutoff.
+    cutoffs = []
+
+    def counting(docs, cutoff, **kwargs):
+        cutoffs.append(cutoff)
+        return train_at_cutoff(docs, cutoff, **kwargs)
+
+    monkeypatch.setattr("qtmine.fcrank.train_at_cutoff", counting)
+    fc_analysis(fc_docs, TRIALS, APPROVALS, [1995, 2001, 2002], vocab_size=FC_VOCAB,
+                model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=1, retrain=retrain)
+    last_dated = max(d.publish_year for d in fc_docs.documents if d.publish_year is not None)
+    assert cutoffs == ([2001, 2002] if retrain else [max(last_dated, 2002)])
+
+
 def test_rank_current_covers_all_candidates(fc_docs):
     vocab, params = train_at_cutoff(fc_docs, 2001, vocab_size=FC_VOCAB,
                                     model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=5)

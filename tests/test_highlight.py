@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from qtmine.errors import EvalError
+from qtmine.errors import EvalError, TemplateError
 from qtmine.highlight import (
+    DEFAULT_HIGHLIGHT_TEMPLATE,
+    _fit_sentence,
     ansi_bucket,
     highlight_passage,
     parse_html_scores,
@@ -18,7 +20,8 @@ from qtmine.highlight import (
     write_html,
 )
 from qtmine.model import ModelConfig, forward, init_params
-from qtmine.qt import QuerySpec, TargetSpec
+from qtmine.qt import MASK_PLACEHOLDER, QuerySpec, TargetSpec, predict_queries
+from qtmine.tokenizer import train_bpe
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -135,7 +138,7 @@ def test_highlight_passage_validates_inputs(tiny_setup):
     vocab, params = tiny_setup
     with pytest.raises(EvalError):
         highlight_passage(params, vocab, "", "efficacy")
-    with pytest.raises(EvalError):
+    with pytest.raises(TemplateError):
         highlight_passage(params, vocab, PASSAGE, "efficacy", template="no slot <mask>")
 
 
@@ -145,6 +148,38 @@ def test_highlight_long_sentence_truncates_to_fit(tiny_setup):
     doc = highlight_passage(params, vocab, long_passage, "efficacy")
     assert len(doc.sentences) == 1
     assert 0.0 <= doc.sentences[0].score <= 1.0
+
+
+def test_highlight_truncates_at_a_whole_character():
+    vocab = train_bpe(["plain ascii text."], 280)  # no merge joins the two bytes of "é"
+    query = _fit_sentence(vocab, "é" * 40 + ".", DEFAULT_HIGHLIGHT_TEMPLATE, 24)
+    assert len(query.ids) <= 24
+    assert "\ufffd" not in query.template
+    assert query.template.startswith("é")
+    # an ASCII sentence keeps every token that fits
+    query = _fit_sentence(vocab, "a" * 40 + ".", DEFAULT_HIGHLIGHT_TEMPLATE, 24)
+    kept = query.template[:query.template.index(" This")]
+    assert kept == "a" * len(kept)
+    longer = QuerySpec.render(vocab, DEFAULT_HIGHLIGHT_TEMPLATE, sentence=kept + "a")
+    assert len(longer.ids) > 24 == len(query.ids)
+
+
+@pytest.mark.parametrize("sentence", ["the drug <mask> blocks it.", "the {drug} blocks it.",
+                                      "a {sentence} here."])
+def test_highlight_scores_a_marker_in_a_sentence_as_text(tiny_setup, monkeypatch, sentence):
+    vocab, params = tiny_setup
+    queries = []
+
+    def recording(params, batch):
+        queries.extend(batch)
+        return predict_queries(params, batch)
+
+    monkeypatch.setattr("qtmine.highlight.predict_queries", recording)
+    doc = highlight_passage(params, vocab, PASSAGE + " " + sentence, "efficacy")
+    assert len(doc.sentences) == 5
+    n_masks = DEFAULT_HIGHLIGHT_TEMPLATE.count(MASK_PLACEHOLDER)
+    assert [len(q.mask_positions) for q in queries] == [n_masks] * 5
+    assert queries[-1].template == DEFAULT_HIGHLIGHT_TEMPLATE.replace("{sentence}", sentence)
 
 
 def test_highlight_is_deterministic(tiny_setup):

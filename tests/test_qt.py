@@ -60,6 +60,30 @@ def test_render_errors(tiny_setup):
         QuerySpec.render(vocab, "a b <mask>", drug="x")  # drug but no slot
 
 
+def test_render_slot_text_is_literal(tiny_setup):
+    # The template is split at its markers before the slots are filled, so a
+    # marker or slot inside the drug's text is plain text.
+    vocab, _ = tiny_setup
+    template = "the {drug} shows <mask> <mask> in trials."
+    for drug in ("ab<mask>cd", "x{drug}y", "{sentence}"):
+        q = QuerySpec.render(vocab, template, drug=drug)
+        assert len(q.mask_positions) == 2
+        before = encode(vocab, "the " + drug + " shows ")
+        assert list(q.ids[1:q.mask_positions[0]]) == before
+        assert q.template == template.replace("{drug}", drug)
+
+
+def test_render_fills_the_sentence_slot(tiny_setup):
+    vocab, _ = tiny_setup
+    q = QuerySpec.render(vocab, "{sentence} so <mask>.", sentence="a <mask> {drug} b")
+    assert len(q.mask_positions) == 1
+    assert list(q.ids[1:q.mask_positions[0]]) == encode(vocab, "a <mask> {drug} b so ")
+    with pytest.raises(TemplateError):
+        QuerySpec.render(vocab, "{sentence} so <mask>.")  # slot but no sentence
+    with pytest.raises(TemplateError):
+        QuerySpec.render(vocab, "so <mask>.", sentence="a")  # sentence but no slot
+
+
 def test_masked_span_query_reconstructs_text(tiny_setup):
     vocab, _ = tiny_setup
     text = "trials showed efficacy in patients."
@@ -263,6 +287,23 @@ def test_rank_by_qt_breaks_ties_lexicographically():
     assert [r.candidate for r in ranked] == ["x", "y"]
 
 
+def test_rank_and_combine_score_a_marker_in_a_drug_as_text(tiny_setup):
+    vocab, params = tiny_setup
+    target = TargetSpec.from_phrase(vocab, "efficacy")
+    n_masks = DEFAULT_RANK_TEMPLATE.count(MASK_PLACEHOLDER)
+    for item in rank_by_qt(params, vocab, ["ab<mask>cd", "alfa"], target=target):
+        assert len(item.score.per_position) == n_masks
+    combo = combination_score(params, vocab, ["ab<mask>cd", "alfa"], target=target)
+    assert len(combo.per_position) == n_masks
+
+
+def test_a_query_longer_than_max_seq_is_a_template_error(tiny_setup):
+    vocab, params = tiny_setup
+    drug = "zq" * 100
+    with pytest.raises(TemplateError, match=f"over max_seq {params.config.max_seq}.*{drug}"):
+        rank_by_qt(params, vocab, ["alfa", drug])
+
+
 # ---------------------------------------------------------------------------
 # Top-k readout
 
@@ -317,6 +358,22 @@ def test_permuted_analogy_excludes_input_terms(tiny_setup):
     assert all(tid not in banned for tid, _, _ in out)
     with pytest.raises(EvalError):
         permuted_analogy(params, vocab, "", "protein")
+
+
+def test_permuted_analogy_reads_the_prompt_mask_after_a_marker_in_a_term(tiny_setup, monkeypatch):
+    vocab, params = tiny_setup
+    queries = []
+
+    def recording(params, query):
+        queries.append(query)
+        return mlm_predict(params, query)
+
+    monkeypatch.setattr("qtmine.qt.mlm_predict", recording)
+    out = permuted_analogy(params, vocab, "x<mask>", "y", k=3)
+    (query,) = queries
+    assert query.mask_positions == (len(query.ids) - 2,)  # the prompt's final mask
+    assert list(query.ids[1:-2]) == encode(vocab, "x<mask> is to y as x<mask> is to ")
+    assert len(out) == 3
 
 
 def test_combination_score_matches_joined_query(tiny_setup):
