@@ -136,6 +136,8 @@ def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term:
     spans = split_sentences(passage)
     if not spans:
         raise EvalError("passage splits into zero sentences")
+    # The template's slot and <mask> rules hold even if no sentence is scored.
+    QuerySpec.render(vocab, template, sentence="")
     target = TargetSpec.from_phrase(vocab, target_term)
     max_seq = params.config.max_seq
 

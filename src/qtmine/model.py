@@ -47,6 +47,19 @@ one batch and projects onto the vocabulary at the requested positions alone.
 `forward` runs one sequence, a single run, and serves the attention views; it
 is the tests' per-sequence reference.
 
+GELU's `erf` and the initializer's normal quantile are NumPy ports, so the
+package needs no SciPy. `_erf` ports Cephes erf/erfc (S. Moshier), which
+SciPy's erf runs; `_normal_quantile` ports Wichura's AS241 (Appl. Stat.
+37:477, 1988), as in CPython's `statistics.NormalDist.inv_cdf`. Both run in
+float64 over blocks of `_BLOCK` elements, with in-place Horner steps into
+reused buffers, and round once to the output dtype, as SciPy's float32 erf
+does. In float64 they differ from SciPy only in the last bits (NumPy's exp
+against the C library's in erf's tail; AS241 against the Cephes ndtri that
+SciPy runs); no float32 result differed from SciPy's on millions of inputs
+compared, so float32 GELU and the initial weights keep SciPy's bits. The
+tests check both against the standard library, and the initial weights
+against digests recorded with SciPy.
+
 `tensor_shapes(config)` is the one list of tensor names and shapes. It is the
 checkpoint layout, and `Params.named_tensors`, `init_params`, `astype` and
 `load_checkpoint` all follow it.
@@ -58,10 +71,11 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, ndtri
+import numpy.random  # NumPy 2 loads it lazily; load it here, not in the first training request
 
 from .errors import CheckpointError, DataFormatError, QtmineError
 from .util import write_atomic
@@ -168,11 +182,122 @@ class ForwardOut:
     attentions: np.ndarray   # (n_layers, n_heads, S, S), rows sum to 1
 
 
+# Coefficients of Cephes erf/erfc (ndtr.c) and of AS241 (see the module
+# docstring), highest power first; a monic polynomial lists its leading 1.
+
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erf(x) rounds to 1 in float64 from |x| = 5.93 on; the clamp keeps exp(-x^2) finite.
+_ERF_CLAMP = 6.0
+
+_AS241_A = (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+            4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+            1.3314166789178437745e2, 3.3871328727963666080e0)
+_AS241_B = (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+            2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+            4.2313330701600911252e1, 1.0)
+_AS241_C = (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+            1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+            4.6303378461565452959e0, 1.4234371107496835773e0)
+_AS241_D = (1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+            1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+            2.0531916266377588219e0, 1.0)
+_PHI_MINUS_2, _PHI_PLUS_2 = 0.0227501319481792, 0.9772498680518208
+# Elements per float64 block: the block and its scratch buffers stay in cache.
+_BLOCK = 1 << 15
+
+
+def _polevl(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    """Horner's rule in place: out = polynomial(x), coefficients highest power first."""
+    np.multiply(x, coefs[0], out=out)
+    np.add(out, coefs[1], out=out)
+    for c in coefs[2:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _float64_blocks(kernel, x: np.ndarray, n_scratch: int, dtype=None) -> np.ndarray:
+    """`kernel(block, out, *scratch)` over x in float64 blocks, in x's shape and
+    in `dtype` (x's by default).
+
+    A float32 input is widened per block and a float32 result rounded once at
+    the end, as SciPy's float32 loops do. The scratch buffers are reused."""
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    result = np.empty(flat.shape, dtype=dtype or x.dtype)
+    in_place = result.dtype == np.float64
+    size = min(_BLOCK, flat.size)
+    block, out, *scratch = (np.empty(size) for _ in range(n_scratch + 2))
+    for start in range(0, flat.size, _BLOCK):
+        stop = min(start + _BLOCK, flat.size)
+        src = flat[start:stop]
+        if src.dtype != np.float64:
+            src = block[:stop - start]
+            src[...] = flat[start:stop]
+        dst = result[start:stop] if in_place else out[:stop - start]
+        kernel(src, dst, *(buf[:stop - start] for buf in scratch))
+        if not in_place:
+            result[start:stop] = dst
+    return result.reshape(x.shape)
+
+
+def _erf_block(x, out, c, z, den):
+    """Cephes erf: x T(x^2) / U(x^2) for |x| <= 1, else sign(x) (1 - e^(-x^2) P(|x|) / Q(|x|))."""
+    np.clip(x, -_ERF_CLAMP, _ERF_CLAMP, out=c)
+    np.multiply(c, c, out=z)
+    np.multiply(c, _polevl(z, _ERF_T, out), out=out)
+    np.divide(out, _polevl(z, _ERF_U, den), out=out)
+    tail = np.flatnonzero(z > 1.0)  # |x| > 1
+    if tail.size:
+        ct, m = c[tail], tail.size
+        at = np.abs(ct)
+        erfc = np.exp(-z[tail])
+        erfc *= _polevl(at, _ERFC_P, z[:m])
+        erfc /= _polevl(at, _ERFC_Q, den[:m])
+        out[tail] = np.copysign(np.subtract(1.0, erfc, out=erfc), ct, out=erfc)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    return _float64_blocks(_erf_block, x, 3)
+
+
+def _quantile_block(u, out, q, r, den, scale):
+    """scale times AS241 on (Phi(-2), Phi(2)): the central rational everywhere,
+    then the r <= 5 tail where |u - 1/2| > 0.425."""
+    np.subtract(u, 0.5, out=q)
+    np.subtract(0.180625, np.multiply(q, q, out=r), out=r)
+    np.multiply(_polevl(r, _AS241_A, out), q, out=out)
+    np.divide(out, _polevl(r, _AS241_B, den), out=out)
+    tail = np.flatnonzero(np.abs(q, out=r) > 0.425)
+    if tail.size:
+        qt, m = q[tail], tail.size
+        rt = np.where(qt <= 0.0, u[tail], 1.0 - u[tail])
+        np.sqrt(np.negative(np.log(rt, out=rt), out=rt), out=rt)
+        rt -= 1.6
+        x = np.divide(_polevl(rt, _AS241_C, r[:m]), _polevl(rt, _AS241_D, den[:m]), out=r[:m])
+        out[tail] = np.copysign(x, qt, out=x)
+    np.multiply(out, scale, out=out)
+
+
+def _normal_quantile(u: np.ndarray, scale: float = 1.0, dtype=None) -> np.ndarray:
+    """scale times the standard normal quantile of u, for u in (Phi(-2), Phi(2)),
+    the initializer's draws; computed in float64 and rounded once to `dtype`."""
+    return _float64_blocks(partial(_quantile_block, scale=scale), u, 3, dtype)
+
+
 def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Normal(0, INIT_STDDEV) truncated at +-2 INIT_STDDEV, via the inverse CDF, in float32."""
-    lo, hi = 0.0227501319481792, 0.9772498680518208  # Phi(-2), Phi(2)
-    u = rng.uniform(lo, hi, size=shape)
-    return (ndtri(u) * INIT_STDDEV).astype(np.float32)
+    u = rng.uniform(_PHI_MINUS_2, _PHI_PLUS_2, size=shape)
+    return _normal_quantile(u, INIT_STDDEV, np.float32)
 
 
 def init_params(config: ModelConfig, seed: int) -> Params:
@@ -347,7 +472,7 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
         v_in, ln2_cache = _ln_fwd(h_mid, layer["ln2_g"], layer["ln2_b"])
         f1 = v_in @ layer["w1"] + layer["b1"]
         # GELU(x) = x * Phi(x); halving is exact, so this equals 0.5 * x * (1 + erf).
-        cdf = 0.5 * (1.0 + erf(f1 / _SQRT2))
+        cdf = 0.5 * (1.0 + _erf(f1 / _SQRT2))
         f2 = f1 * cdf
         h_out = h_mid + f2 @ layer["w2"] + layer["b2"]
 

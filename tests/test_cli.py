@@ -889,3 +889,14 @@ def test_corpus_line_that_is_not_utf8_is_skipped_and_counted(ws, tmp_path):
     assert rc == 0 and "Traceback" not in err, err
     assert re.search(r"event=malformed_document line=\d+ reason=line is not valid UTF-8", err), err
     assert re.search(r"event=corpus_loaded .* malformed=1\b", err), err
+
+
+def test_cold_start_imports_numpy_random_and_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, qtmine.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

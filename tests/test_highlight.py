@@ -142,6 +142,13 @@ def test_highlight_passage_validates_inputs(tiny_setup):
         highlight_passage(params, vocab, PASSAGE, "efficacy", template="no slot <mask>")
 
 
+@pytest.mark.parametrize("template", ["no slot <mask>", "{sentence} has no mask."])
+def test_blank_passage_still_validates_the_template(tiny_setup, template):
+    vocab, params = tiny_setup
+    with pytest.raises(TemplateError):
+        highlight_passage(params, vocab, "   ", "x", template=template)
+
+
 def test_highlight_long_sentence_truncates_to_fit(tiny_setup):
     vocab, params = tiny_setup
     long_passage = "word " * 300 + "end."

@@ -6,8 +6,10 @@ be tight. Gradients get a sampled finite-difference check here; the exhaustive
 elementwise sweep lives in the acceptance suite.
 """
 
+import hashlib
 import math
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -608,6 +610,25 @@ def test_init_distribution_shape():
     assert p.dtype == np.float32
 
 
+# SHA-256 of `init_params(config, seed=0)`, every tensor's name and bytes in
+# checkpoint order, recorded while SciPy's ndtri drew the matrices: the golden
+# run's dimensions (tests/test_train.py) and a pretrain-shaped model.
+INIT_SHA = {
+    ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ff=32, max_seq=32, vocab_size=400):
+        "587bfeb3586426e06db54cd6fd3aa08c24086dd9c11ae39167f36d0fff4eed22",
+    ModelConfig(n_layers=2, n_heads=4, d_model=128, d_ff=512, max_seq=128, vocab_size=640):
+        "89b8024c854fd24e1842310df389c3f0e1f18527550a4937f6fa7696def3e998",
+}
+
+
+@pytest.mark.parametrize("config", list(INIT_SHA), ids=["golden", "pretrain"])
+def test_init_params_match_recorded_digest(config):
+    digest = hashlib.sha256()
+    for name, tensor in init_params(config, seed=0).named_tensors():
+        digest.update(name.encode() + b"\0" + tensor.tobytes())
+    assert digest.hexdigest() == INIT_SHA[config]
+
+
 def test_copy_is_independent():
     p = tiny_params(seed=6)
     q = p.copy()
@@ -779,3 +800,44 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+# ---------------------------------------------------------------------------
+# erf and the normal quantile, against the standard library
+
+
+def _assert_close(got, want, rel):
+    want = np.asarray(want)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+def test_erf_matches_math_erf_in_float64():
+    x = np.concatenate([np.linspace(-8.0, 8.0, 40_001),
+                        [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), 6.0, -6.0, np.inf, -np.inf]])
+    _assert_close(model._erf(x), [math.erf(v) for v in x], 1e-15)
+    assert np.isnan(model._erf(np.array([np.nan]))).all()
+    # the shape comes back, across several blocks
+    grid = x[:40_000].reshape(200, 200)
+    np.testing.assert_array_equal(model._erf(grid), model._erf(x[:40_000]).reshape(200, 200))
+
+
+def test_erf_of_float32_is_the_float64_value_rounded_once():
+    x = (np.random.default_rng(3).standard_normal(100_000) * 2.0).astype(np.float32)
+    got = model._erf(x)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, np.array([np.float32(math.erf(float(v))) for v in x]))
+
+
+def test_normal_quantile_matches_statistics_inv_cdf():
+    lo, hi = model._PHI_MINUS_2, model._PHI_PLUS_2
+    u = np.concatenate([np.linspace(lo, hi, 20_001), [0.075, 0.925],  # |u - 1/2| = 0.425
+                        np.nextafter([0.075, 0.925], 0.5), np.nextafter([0.075, 0.925], [0.0, 1.0])])
+    inv_cdf = statistics.NormalDist().inv_cdf
+    want = np.array([inv_cdf(float(v)) for v in u])
+    got = model._normal_quantile(u)
+    _assert_close(got, want, 1e-15)
+    np.testing.assert_array_equal((got * INIT_STDDEV).astype(np.float32),
+                                  (want * INIT_STDDEV).astype(np.float32))
