@@ -193,10 +193,8 @@ def load_trials(path: str | Path, aliases: AliasMap | None = None) -> list[Trial
     aliases = aliases if aliases is not None else AliasMap()
     records: list[TrialRecord] = []
     for lineno, row in enumerate(_read_csv(path, ("trial_id", "year", "drugs", "condition")), start=2):
-        try:
-            year = int(row["year"].strip())
-        except ValueError:
-            log.warning(kv(event="trial_skipped", line=lineno, reason="unparseable_year", value=row["year"]))
+        year = _row_year(row["year"], "trial_skipped", lineno)
+        if year is None:
             continue
         drugs: list[str] = []
         for raw in row["drugs"].split(";"):
@@ -228,13 +226,29 @@ def load_approvals(path: str | Path, aliases: AliasMap | None = None) -> list[Ap
     aliases = aliases if aliases is not None else AliasMap()
     records = []
     for lineno, row in enumerate(_read_csv(path, ("drug", "approval_year")), start=2):
-        try:
-            year = int(row["approval_year"].strip())
-        except ValueError:
-            log.warning(kv(event="approval_skipped", line=lineno, reason="unparseable_year"))
+        year = _row_year(row["approval_year"], "approval_skipped", lineno)
+        if year is None:
             continue
-        records.append(ApprovalRecord(drug=aliases.canonical(row["drug"]), approval_year=year))
+        drug = aliases.canonical(row["drug"])
+        if not drug:
+            log.warning(kv(event="approval_skipped", line=lineno, reason="empty_drug"))
+            continue
+        records.append(ApprovalRecord(drug=drug, approval_year=year))
     return records
+
+
+def _row_year(raw: str, event: str, lineno: int) -> int | None:
+    """A CSV row's year, or None, with a warning, when it is not an integer
+    in YEAR_MIN..YEAR_MAX."""
+    try:
+        year = int(raw.strip())
+    except ValueError:
+        log.warning(kv(event=event, line=lineno, reason="unparseable_year", value=raw))
+        return None
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        log.warning(kv(event=event, line=lineno, reason="year_out_of_range", value=year))
+        return None
+    return year
 
 
 def load_analogies(path: str | Path) -> list[AnalogyItem]:

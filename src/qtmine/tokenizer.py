@@ -10,12 +10,13 @@ encode/decode is lossless for any UTF-8 text.
 
 Training and encoding share one structure: the bytes as a doubly linked list
 plus a lazy heap of candidate pairs. `encode` is an O(n log n) heap merge whose
-output equals applying the merges one rank at a time. Training applies each
-merge to all its occurrences as it learns it, so it ends with that encoding of
-every training text: `train_and_encode` hands the token streams back with the
-vocabulary, and a caller that trains on the same texts need not encode them
-again. The quadratic reference implementations in the test suite check both
-paths.
+output equals applying the merges one rank at a time. Training keeps one pair
+table, each pair's exact set of live positions, whose size is its count. It
+applies each merge to all its occurrences as it learns it, so it ends with
+that encoding of every training text: `train_and_encode` hands the token
+streams back with the vocabulary, and a caller that trains on the same texts
+need not encode them again. The quadratic reference implementations in the
+test suite check both paths.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import base64
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -152,84 +154,61 @@ def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list
     # The table so far, for the tie-break on merged bytes.
     tokens = list(_BASE_TOKENS)
     merges: list[tuple[int, int]] = []
-    occ: dict[tuple[int, int], list[int]] = {}
+    # The one pair table: occ[pair] is the set of left positions where `pair`
+    # occurs in the live linked list, and its size is the pair's count. Every
+    # set is exact, except the one being swept, which is popped first.
+    occ: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
     for i, j in enumerate(nxt):
         if j != -1:
-            pair = (ids[i], ids[j])
-            if pair in occ:
-                occ[pair].append(i)
-            else:
-                occ[pair] = [i]
-    counts = {pair: len(at) for pair, at in occ.items()}
+            occ[ids[i], ids[j]].add(i)
 
     # Lazy max-heap keyed by (-count, merged bytes, left bytes); stale entries
     # are skipped when their recorded count no longer matches.
-    heap = [(-c, tokens[a] + tokens[b], tokens[a], (a, b))
-            for (a, b), c in counts.items() if c >= MIN_PAIR_COUNT]
+    heap = [(-len(at), tokens[a] + tokens[b], tokens[a], (a, b))
+            for (a, b), at in occ.items() if len(at) >= MIN_PAIR_COUNT]
     heapq.heapify(heap)
 
     while len(tokens) < vocab_size and heap:
         negc, _, _, pair = heapq.heappop(heap)
-        if counts.get(pair, 0) != -negc:
+        if len(occ.get(pair, ())) != -negc:
             continue
         a, b = pair
         new_id = len(tokens)
         tokens.append(tokens[a] + tokens[b])
         merges.append(pair)
-        # Pairs whose count changed during this merge's sweep; each is pushed
+        # Pairs whose set changed during this merge's sweep; each is pushed
         # once, with its final count, when the sweep ends.
         touched: set[tuple[int, int]] = set()
 
-        # Occurrence lists may hold stale or duplicate positions; validation
-        # against the live linked list filters them. Ascending order gives the
-        # same greedy left-to-right semantics as encode() ("aaa" -> [aa, a]).
-        for i in sorted(set(occ.pop(pair, ()))):
+        # Ascending order gives the same greedy left-to-right semantics as
+        # encode(). The only occurrence to skip is one whose left node the
+        # occurrence merged just before it absorbed ("aaa" -> [aa, a]).
+        for i in sorted(occ.pop(pair)):
             if ids[i] != a:
                 continue
             j = nxt[i]
-            if j == -1 or ids[j] != b:
-                continue
             p, n = prv[i], nxt[j]
-            if p != -1:
-                gone = (ids[p], a)
-                c = counts.get(gone, 0) - 1
-                if c > 0:
-                    counts[gone] = c
-                else:
-                    counts.pop(gone, None)
-                touched.add(gone)
-            if n != -1:
-                gone = (b, ids[n])
-                c = counts.get(gone, 0) - 1
-                if c > 0:
-                    counts[gone] = c
-                else:
-                    counts.pop(gone, None)
-                touched.add(gone)
             ids[i] = new_id
             ids[j] = -1
             nxt[i] = n
+            # Each neighbour's old pair loses its position, its new pair gains
+            # it. The right one's old pair can be the swept pair ("aaa"), whose
+            # set is out of the table, hence discard rather than remove.
+            if p != -1:
+                gone, made = (ids[p], a), (ids[p], new_id)
+                occ[gone].discard(p)
+                occ[made].add(p)
+                touched.add(gone)
+                touched.add(made)
             if n != -1:
                 prv[n] = i
-            if p != -1:
-                made = (ids[p], new_id)
-                counts[made] = counts.get(made, 0) + 1
-                if made in occ:
-                    occ[made].append(p)
-                else:
-                    occ[made] = [p]
+                gone, made = (b, ids[n]), (new_id, ids[n])
+                occ[gone].discard(j)
+                occ[made].add(i)
+                touched.add(gone)
                 touched.add(made)
-            if n != -1:
-                made = (new_id, ids[n])
-                counts[made] = counts.get(made, 0) + 1
-                if made in occ:
-                    occ[made].append(i)
-                else:
-                    occ[made] = [i]
-                touched.add(made)
-        counts.pop(pair, None)
         for t in touched:
-            c = counts.get(t, 0)
+            c = len(occ[t])
             if c >= MIN_PAIR_COUNT:
                 x, y = t
                 heapq.heappush(heap, (-c, tokens[x] + tokens[y], tokens[x], t))
@@ -313,7 +292,7 @@ def _token_to_json(b: bytes):
         s = b.decode("utf-8")
     except UnicodeDecodeError:
         return {"b64": base64.b64encode(b).decode("ascii")}
-    if s.encode("utf-8") == b and all(ch.isprintable() or ch == " " for ch in s):
+    if all(ch.isprintable() or ch == " " for ch in s):
         return s
     return {"b64": base64.b64encode(b).decode("ascii")}
 

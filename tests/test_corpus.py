@@ -243,6 +243,25 @@ def test_load_approvals(tmp_path):
         ("oseltamivir", 1999), ("peramivir", 2014)]
 
 
+def test_load_trials_skips_a_year_out_of_range(tmp_path, qtmine_log):
+    path = write_csv(tmp_path / "t.csv", "trial_id,year,drugs,condition",
+                     ["T1,20100,drugx,flu", "T2,1899,drugy,flu", "T3,1900,drugz,flu", "T4,2100,drugw,flu"])
+    assert [(t.trial_id, t.year) for t in load_trials(path)] == [("T3", 1900), ("T4", 2100)]
+    assert qtmine_log == ["event=trial_skipped line=2 reason=year_out_of_range value=20100",
+                          "event=trial_skipped line=3 reason=year_out_of_range value=1899"]
+
+
+def test_load_approvals_skips_a_year_out_of_range_and_an_empty_drug(tmp_path, qtmine_log):
+    # A typo such as 20100 would count as "approved later" at every cutoff.
+    path = write_csv(tmp_path / "ap.csv", "drug,approval_year",
+                     ["drugx,20100", ",2004", " ,2005", "drugy,2006", "drugz,-3"])
+    assert [(r.drug, r.approval_year) for r in load_approvals(path)] == [("drugy", 2006)]
+    assert qtmine_log == ["event=approval_skipped line=2 reason=year_out_of_range value=20100",
+                          "event=approval_skipped line=3 reason=empty_drug",
+                          "event=approval_skipped line=4 reason=empty_drug",
+                          "event=approval_skipped line=6 reason=year_out_of_range value=-3"]
+
+
 # ---------------------------------------------------------------------------
 # Analogies
 

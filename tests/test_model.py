@@ -403,9 +403,10 @@ def masked_batch(rng, vocab_size, lengths, pad_id=1):
     return ids, np.asarray(lengths), delta, labels
 
 
-def test_padding_content_is_ignored_by_every_entry_point(monkeypatch):
-    # float32, as training and scoring run. Junk in the pad slots must change
-    # no bit of the loss, any gradient, the evaluation sum or a prediction.
+def test_padding_content_is_ignored_by_every_entry_point():
+    # float32, as training runs. Junk in the pad slots must change no bit of
+    # the loss, any gradient or the evaluation sum. Scoring packs its queries
+    # back to back, so it has no pad slots to check.
     params = init_params(TINY, seed=12)
     rng = np.random.default_rng(12)
     ids, lengths, delta, labels = masked_batch(rng, TINY.vocab_size, [9, 3, 12, 1, 6])
@@ -419,21 +420,6 @@ def test_padding_content_is_ignored_by_every_entry_point(monkeypatch):
     for name in ga:
         np.testing.assert_array_equal(ga[name], gb[name], err_msg=name)
     assert eval_loss(params, ids, lengths, delta, labels) == eval_loss(params, junk, lengths, delta, labels)
-
-    seqs = [row[:n] for row, n in zip(ids, lengths)]
-    positions = [np.flatnonzero(row[:n]) for row, n in zip(delta, lengths)]
-    clean = predict_masked(params, seqs, positions)
-    real_pad_rows = model.pad_rows
-
-    def junk_pad_rows(rows, fill=0, dtype=np.int64):
-        batch, lens = real_pad_rows(rows, fill, dtype)
-        slots = np.arange(batch.shape[1]) >= lens[:, None]
-        batch[slots] = rng.integers(0, TINY.vocab_size, int(slots.sum()))
-        return batch, lens
-
-    monkeypatch.setattr(model, "pad_rows", junk_pad_rows)
-    for a, b in zip(clean, predict_masked(params, seqs, positions)):
-        np.testing.assert_array_equal(a, b)
 
 
 def _relative_error(got, want):

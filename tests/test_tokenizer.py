@@ -140,6 +140,14 @@ def test_trainer_matches_naive_reference_on_adversarial_runs():
              "b" + "ab" * 300, "aab" * 170]
     vocab, _ = check_training(texts * 2, 400)
     assert len(vocab.merges) > 10
+    # Small corpora over a tiny alphabet: overlapping runs everywhere, and
+    # pairs whose position sets empty and refill within one merge's sweep.
+    rng = np.random.default_rng(18)
+    pieces = ["a", "b", "aa", "ab", " "]
+    for _ in range(200):
+        texts = ["".join(rng.choice(pieces, int(rng.integers(0, 30))))
+                 for _ in range(int(rng.integers(1, 6)))]
+        check_training(texts, int(rng.integers(262, 301)))
 
 
 def test_trainer_streams_of_empty_texts_are_empty():
