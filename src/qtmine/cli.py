@@ -6,12 +6,18 @@ settings from that config only; there is no environment configuration.
 Output files contain no timestamps — the only timestamp of a run is in the
 first log line — so a rerun with the same config and seed reproduces every
 artifact byte for byte.
+
+`main` is re-entrant: a process may call it once per request. It builds its
+parser once per process (`build_parser` is cached) and resolves the handler
+`cmd_<command>` in this module at each call, so a handler rebound after the
+first call, by a tracer or a test, is the one the next call runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -272,7 +278,10 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", help="model checkpoint file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser. It holds no handler, and parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(prog="qtmine",
                                      description="Literature mining with masked-LM query-target scoring.")
     parser.add_argument("--config", help="JSON run configuration")
@@ -288,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-tokenizer", help="train the byte-pair vocabulary")
     p.add_argument("--vocab-size", dest="vocab_size", type=int)
     p.add_argument("--out", help="output vocabulary path")
-    p.set_defaults(func=cmd_train_tokenizer)
 
     p = sub.add_parser("train", help="train the masked language model")
     _add_model_flags(p)
@@ -298,17 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--epochs", dest="n_epochs", type=int)
     p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("perplexity", help="masked perplexity of a corpus")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_perplexity)
 
     p = sub.add_parser("analogies", help="evaluate analogy accuracy")
     _add_model_flags(p)
     p.add_argument("--out-csv", dest="out_csv")
     p.add_argument("--out-json", dest="out_json")
-    p.set_defaults(func=cmd_analogies)
 
     p = sub.add_parser("kshot", help="few-shot fine-tune and compare analogy accuracy")
     _add_model_flags(p)
@@ -317,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--out", help="save the fine-tuned checkpoint here")
     p.add_argument("--out-json", dest="out_json")
-    p.set_defaults(func=cmd_kshot)
 
     p = sub.add_parser("qt", help="score one query against a target phrase")
     _add_model_flags(p)
@@ -326,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target phrase")
     p.add_argument("--agg", choices=("mean", "geomean"), default="mean")
     p.add_argument("--mode", choices=("mass", "conditional"), default="mass")
-    p.set_defaults(func=cmd_qt)
 
     p = sub.add_parser("rank", help="rank trialed drugs by query-target score")
     _add_model_flags(p)
@@ -335,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.add_argument("--out-json", dest="out_json")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("fc", help="forward-chaining year-by-year validation")
     p.add_argument("--years", required=True,
@@ -344,28 +346,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir")
     p.add_argument("--no-retrain", dest="no_retrain", action="store_true",
                    help="reuse one full-corpus model instead of retraining per cutoff")
-    p.set_defaults(func=cmd_fc)
 
     p = sub.add_parser("mine", help="mine related terms via a permuted analogy prompt")
     _add_model_flags(p)
     p.add_argument("--q-term", dest="q_term", required=True)
     p.add_argument("--t-term", dest="t_term", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("combine", help="score a drug combination")
     _add_model_flags(p)
     p.add_argument("--drugs", required=True, help="comma-separated drug names")
     p.add_argument("--template")
     p.add_argument("--target")
-    p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("side-effects", help="score a drug against an adverse-effect phrase")
     _add_model_flags(p)
     p.add_argument("--drug", required=True)
     p.add_argument("--negative-target", dest="negative_target", required=True)
     p.add_argument("--template")
-    p.set_defaults(func=cmd_side_effects)
 
     p = sub.add_parser("highlight", help="per-sentence passage highlighting")
     _add_model_flags(p)
@@ -373,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passage-file", dest="passage_file")
     p.add_argument("--target-term", dest="target_term", required=True)
     p.add_argument("--out-html", dest="out_html")
-    p.set_defaults(func=cmd_highlight)
 
     return parser
 
@@ -390,7 +387,7 @@ def main(argv=None) -> int:
             raise DataFormatError(f"seed must be non-negative, got {cfg.seed}")
         logger.info(kv(event="start", command=args.command,
                        time=datetime.now(timezone.utc).isoformat(), seed=cfg.seed))
-        return args.func(args, cfg)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args, cfg)
     except QtmineError as exc:
         print(f"error type={type(exc).__name__} msg={exc}", file=sys.stderr)
         return 1

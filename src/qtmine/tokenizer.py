@@ -66,6 +66,8 @@ class Vocab:
 
     def __post_init__(self) -> None:
         for i, (a, b) in enumerate(self.merges):
+            if type(a) is not int or type(b) is not int:
+                raise DataFormatError("merge ids must be integers")
             out = FIRST_MERGED + i
             if not (0 <= a < out and 0 <= b < out):
                 raise DataFormatError(f"merge {i} refers to a token outside 0..{out - 1} ({a},{b})")
@@ -156,7 +158,8 @@ def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list
     merges: list[tuple[int, int]] = []
     # The one pair table: occ[pair] is the set of left positions where `pair`
     # occurs in the live linked list, and its size is the pair's count. Every
-    # set is exact, except the one being swept, which is popped first.
+    # set is exact, except the one being swept, which is popped first; a set
+    # the sweep leaves empty is deleted when the sweep ends.
     occ: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
     for i, j in enumerate(nxt):
         if j != -1:
@@ -212,6 +215,8 @@ def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list
             if c >= MIN_PAIR_COUNT:
                 x, y = t
                 heapq.heappush(heap, (-c, tokens[x] + tokens[y], tokens[x], t))
+            elif not c:
+                del occ[t]
 
     streams: list[TokenSeq] = []
     for i in starts:
@@ -298,8 +303,7 @@ def _token_to_json(b: bytes):
 
 
 def _token_from_json(entry) -> bytes:
-    if isinstance(entry, str):
-        return entry.encode("utf-8")
+    """A token entry that is not a plain string: `{"b64": ...}`."""
     if isinstance(entry, dict) and "b64" in entry:
         return base64.b64decode(entry["b64"])
     raise ValueError(f"unrecognized token entry {entry!r}")
@@ -321,14 +325,13 @@ def load_vocab(path: str | Path) -> Vocab:
     try:
         doc = json.loads(read_text(path, "vocab file"))
         merges = [(a, b) for a, b in doc["merges"]]
-        tokens = [_token_from_json(t) for t in doc["tokens"]]
+        tokens = [t.encode("utf-8") if type(t) is str else _token_from_json(t)
+                  for t in doc["tokens"]]
         special = doc["special"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataFormatError(f"malformed vocab file {path}: {exc}") from exc
     if special != SPECIAL:
         raise DataFormatError(f"vocab file {path}: special ids must be {SPECIAL}, got {special!r}")
-    if not all(type(i) is int for pair in merges for i in pair):
-        raise DataFormatError(f"vocab file {path}: merge ids must be integers")
     try:
         vocab = Vocab(merges)
     except DataFormatError as exc:

@@ -298,6 +298,56 @@ def test_every_setting_flag_reaches_the_config(monkeypatch, command, argv, dest,
     assert getattr(seen[0], dest) == want
 
 
+def _capture_perplexity(monkeypatch, seen: list):
+    """Rebind `cmd_perplexity` to a handler that records its config and
+    returns 0; the calls below need no model."""
+    def capture(args, cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setattr("qtmine.cli.cmd_perplexity", capture)
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
+    _capture_perplexity(monkeypatch, [])
+    build_parser.cache_clear()
+    assert main(["perplexity"]) == 0
+    assert main(["perplexity"]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert build_parser() is build_parser()
+
+
+def test_a_handler_rebound_after_the_first_call_is_the_one_run(monkeypatch):
+    first, second = [], []
+    build_parser.cache_clear()
+    _capture_perplexity(monkeypatch, first)
+    assert main(["perplexity"]) == 0
+    _capture_perplexity(monkeypatch, second)
+    assert main(["perplexity"]) == 0
+    assert (len(first), len(second)) == (1, 1)
+
+
+def test_a_flag_does_not_reach_a_later_call_that_omits_it(monkeypatch):
+    seen = []
+    _capture_perplexity(monkeypatch, seen)
+    assert main(["--seed", "7", "perplexity"]) == 0
+    assert main(["perplexity"]) == 0
+    assert seen[0].seed == 7
+    assert seen[1].seed == RunConfig().seed != 7
+
+
+def test_a_usage_error_leaves_the_next_call_working(monkeypatch, capsys):
+    seen = []
+    _capture_perplexity(monkeypatch, seen)
+    with pytest.raises(SystemExit) as exc:
+        main(["qt"])  # --query is required
+    assert exc.value.code == 2
+    assert "--query" in capsys.readouterr().err
+    assert main(["perplexity"]) == 0
+    assert len(seen) == 1
+
+
 # ---------------------------------------------------------------------------
 # end-to-end workspace: tiny corpus, trained vocab + checkpoint
 
