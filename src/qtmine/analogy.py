@@ -101,25 +101,18 @@ def eval_analogies(params: M.Params, vocab: Vocab, items: Sequence[AnalogyItem],
         per_cat.setdefault(item.category, []).append(res)
         subcat_of[item.category] = item.subcategory
 
-    rows = []
-    for cat in sorted(per_cat):
-        hits = per_cat[cat]
+    def result(name: str, sub: str, hits: list[tuple[bool, bool]]) -> CategoryResult:
         n = len(hits)
-        rows.append(CategoryResult(
-            category=cat, subcategory=subcat_of[cat], n=n,
-            top1=sum(h1 for h1, _ in hits) / n,
-            top5=sum(h5 for _, h5 in hits) / n,
-        ))
+        return CategoryResult(category=name, subcategory=sub, n=n,
+                              top1=sum(h1 for h1, _ in hits) / n,
+                              top5=sum(h5 for _, h5 in hits) / n)
 
-    subcats: dict[str, CategoryResult] = {}
-    for sub in sorted({r.subcategory for r in rows}):
-        member = [r for r in rows if r.subcategory == sub]
-        n = sum(r.n for r in member)
-        subcats[sub] = CategoryResult(
-            category=sub, subcategory=sub, n=n,
-            top1=sum(r.top1 * r.n for r in member) / n,
-            top5=sum(r.top5 * r.n for r in member) / n,
-        )
+    # A subcategory's rates are its members' hit counts over their items, not
+    # a mean of their rounded rates.
+    rows = [result(cat, subcat_of[cat], per_cat[cat]) for cat in sorted(per_cat)]
+    subcats = {sub: result(sub, sub, [h for cat in sorted(per_cat) if subcat_of[cat] == sub
+                                      for h in per_cat[cat]])
+               for sub in sorted(set(subcat_of.values()))}
     for sub, row in subcats.items():
         logger.info(kv(event="analogy_eval", subcategory=sub, n=row.n,
                        top1=row.top1, top5=row.top5))

@@ -35,7 +35,7 @@ from . import train as T
 from .config import RunConfig, apply_overrides, load_config
 from .corpus import (YEAR_MAX, YEAR_MIN, DocumentSet, load_aliases, load_analogies,
                      load_approvals, load_corpus, load_trials)
-from .errors import DataFormatError, QtmineError
+from .errors import DataFormatError, EvalError, QtmineError
 from .tokenizer import encode, load_vocab, save_vocab, train_bpe
 from .util import csv_bytes, get_logger, kv, read_text, setup_logging, write_atomic
 
@@ -176,13 +176,21 @@ def cmd_kshot(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_qt(args, cfg: RunConfig) -> int:
+def _score_query(args, label: str, template: str, drug: str | None, target_phrase: str,
+                 **score_kw) -> int:
+    """The one single-query path of `qt`, `combine` and `side-effects`: load
+    the model, render the template with `drug`, score it against the target
+    phrase with `qt_score`, and print the score's line under `label`."""
     vocab, params = _load_model(args)
-    query = Q.QuerySpec.render(vocab, args.query, drug=args.drug)
-    target = Q.TargetSpec.from_phrase(vocab, cfg.target)
-    score = Q.qt_score(params, query, target, agg=args.agg, mode=args.mode)
-    _print_score("qt", score)
+    query = Q.QuerySpec.render(vocab, template, drug=drug)
+    target = Q.TargetSpec.from_phrase(vocab, target_phrase)
+    _print_score(label, Q.qt_score(params, query, target, **score_kw))
     return 0
+
+
+def cmd_qt(args, cfg: RunConfig) -> int:
+    return _score_query(args, "qt", args.query, args.drug, cfg.target,
+                        agg=args.agg, mode=args.mode)
 
 
 def cmd_rank(args, cfg: RunConfig) -> int:
@@ -240,22 +248,19 @@ def cmd_mine(args, cfg: RunConfig) -> int:
 
 
 def cmd_combine(args, cfg: RunConfig) -> int:
-    vocab, params = _load_model(args)
+    """Score "a and b [and ...]" in the drug slot; the drug count is checked
+    before the model loads."""
     drugs = [d.strip() for d in args.drugs.split(",") if d.strip()]
-    target = Q.TargetSpec.from_phrase(vocab, cfg.target)
-    score = Q.combination_score(params, vocab, drugs,
-                                template=cfg.template, target=target)
-    _print_score("combination " + "+".join(drugs), score)
-    return 0
+    if len(drugs) < 2:
+        raise EvalError(f"combination needs at least 2 drugs, got {len(drugs)}")
+    return _score_query(args, "combination " + "+".join(drugs), cfg.template,
+                        " and ".join(drugs), cfg.target)
 
 
 def cmd_side_effects(args, cfg: RunConfig) -> int:
-    vocab, params = _load_model(args)
-    target = Q.TargetSpec.from_phrase(vocab, args.negative_target)
-    score = Q.side_effect_score(params, vocab, args.drug, target,
-                                template=cfg.template)
-    _print_score(f"side-effects {args.drug}", score)
-    return 0
+    """Score a drug against an adverse-effect phrase, never merged with an efficacy target."""
+    return _score_query(args, f"side-effects {args.drug}", cfg.template, args.drug,
+                        args.negative_target)
 
 
 def cmd_highlight(args, cfg: RunConfig) -> int:

@@ -257,7 +257,7 @@ def load_analogies(path: str | Path) -> list[AnalogyItem]:
     items: list[AnalogyItem] = []
     per_category: dict[str, int] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         cols = line.split("\t")

@@ -442,10 +442,11 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     everything after attention (the output projection, the residual, the
     second layer norm, the FFN and the final layer norm) at `out_rows` only:
     no other row feeds what the caller reads.
-    Returns (hf, attn, cache): hf the final hidden rows at `out_rows`,
-    (len(out_rows), d_model), and attn, per layer, the attention maps of each
-    run: (g, n_heads, L, L) for every row, and in the last layer
-    (g, n_heads, m, L) for the g·m read rows.
+    Returns (hf, cache): hf the final hidden rows at `out_rows`,
+    (len(out_rows), d_model), and, with `need_cache`, what the backward pass
+    reads (else None). Each layer's entry holds its attention maps, the last
+    item of each run's block: (g, n_heads, L, L) for every row, and in the
+    last layer (g, n_heads, m, L) for the g·m read rows.
     """
     cfg = params.config
     if lengths.max() > cfg.max_seq:
@@ -458,7 +459,6 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     scale = 1.0 / np.sqrt(np.asarray(cfg.d_head, dtype=params.dtype))
 
     cache = {"tokens": tokens, "runs": every_runs, "layers": []} if need_cache else None
-    attn_maps = []
     for i, layer in enumerate(params.layers):
         q_rows, runs = (out_rows, read_runs) if i == cfg.n_layers - 1 else (slice(None), every_runs)
         u, ln1_cache = _ln_fwd(h, layer["ln1_g"], layer["ln1_b"])
@@ -476,7 +476,6 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
         f2 = f1 * cdf
         h_out = h_mid + f2 @ layer["w2"] + layer["b2"]
 
-        attn_maps.append([block[3] for block in blocks])
         if need_cache:
             cache["layers"].append({
                 "ln1": ln1_cache, "u": u, "q_rows": q_rows, "runs": runs, "blocks": blocks,
@@ -488,7 +487,7 @@ def _forward_core(params: Params, tokens: np.ndarray, lengths: np.ndarray,
     if need_cache:
         cache["final_ln"] = final_cache
         cache["scale"] = scale
-    return hf, attn_maps, cache
+    return hf, cache
 
 
 def _backward_core(params: Params, cache, dhf: np.ndarray) -> dict[str, np.ndarray]:
@@ -575,12 +574,14 @@ def pad_rows(rows, fill=0, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
 def forward(params: Params, seq, collect_attention: bool = True) -> ForwardOut:
     """Run one sequence through the model; deterministic for fixed inputs."""
     ids = _check_ids(seq)
-    hidden, attn_maps, _ = _forward_core(params, ids, np.array([ids.size]), np.arange(ids.size),
-                                       need_cache=False)
+    hidden, cache = _forward_core(params, ids, np.array([ids.size]), np.arange(ids.size),
+                                  need_cache=collect_attention)
     logits = _vocab_logits(params, hidden)
-    attentions = np.stack([maps[0][0] for maps in attn_maps]) if collect_attention else np.zeros(
-        (0, params.config.n_heads, ids.size, ids.size), dtype=params.dtype
-    )
+    if collect_attention:
+        # One sequence is one run: each layer's one block holds its (1, n_heads, L, L) map.
+        attentions = np.stack([layer["blocks"][0][3][0] for layer in cache["layers"]])
+    else:
+        attentions = np.zeros((0, params.config.n_heads, ids.size, ids.size), dtype=params.dtype)
     return ForwardOut(hidden=hidden, logits=logits, attentions=attentions)
 
 
@@ -622,7 +623,7 @@ def predict_masked(params: Params, seqs, positions) -> list[np.ndarray]:
         counts = [pos[i].size for i in chunk]
         rows = np.repeat(starts, counts) + np.concatenate([pos[i] for i in chunk])
         tokens = np.concatenate([ids[i] for i in chunk])
-        hf, _, _ = _forward_core(params, tokens, lengths, rows, need_cache=False)
+        hf, _ = _forward_core(params, tokens, lengths, rows, need_cache=False)
         probs = stable_softmax(_vocab_logits(params, hf))
         for i, part in zip(chunk, np.split(probs, np.cumsum(counts)[:-1])):
             out[i] = part
@@ -672,7 +673,7 @@ def _mlm_head(params: Params, ids, lengths, delta, labels, need_grads: bool):
     real, delta = real[order], delta[order]
     labels = grid[order][delta]
     read = np.flatnonzero(delta[real])                # the targeted packed rows, (T,)
-    rows, _, cache = _forward_core(params, ids[order][real], lengths[order], read, need_cache=need_grads)
+    rows, cache = _forward_core(params, ids[order][real], lengths[order], read, need_cache=need_grads)
     z = _vocab_logits(params, rows)                   # (T, V)
     z -= z.max(axis=-1, keepdims=True)
     ez = np.exp(z)

@@ -263,27 +263,3 @@ def permuted_analogy(params: M.Params, vocab: Vocab, q_term: str, t_term: str,
         exclude.update(encode(vocab, term))
         exclude.update(encode(vocab, " " + term))
     return topk_tokens(probs, vocab, k, exclude=exclude)
-
-
-def combination_score(params: M.Params, vocab: Vocab, drugs: Sequence[str],
-                      template: str = DEFAULT_RANK_TEMPLATE,
-                      target: TargetSpec | None = None) -> QtScore:
-    """Score a drug combination by substituting "a and b [and ...]"."""
-    if len(drugs) < 2:
-        raise EvalError(f"combination needs at least 2 drugs, got {len(drugs)}")
-    if target is None:
-        target = TargetSpec.from_phrase(vocab, DEFAULT_TARGET_PHRASE)
-    query = QuerySpec.render(vocab, template, drug=" and ".join(drugs))
-    return qt_score(params, query, target)
-
-
-def side_effect_score(params: M.Params, vocab: Vocab, drug: str,
-                      negative_target: TargetSpec,
-                      template: str = DEFAULT_RANK_TEMPLATE) -> QtScore:
-    """Score a drug against an adverse-effect phrase.
-
-    Kept separate from efficacy scoring: positive and negative targets are
-    never merged into one set.
-    """
-    query = QuerySpec.render(vocab, template, drug=drug)
-    return qt_score(params, query, negative_target)

@@ -3,11 +3,12 @@ file writer, and a thread map no module uses.
 
 Every loader reads its file through `read_text`, so a missing, unreadable or
 non-UTF-8 file ends in a `DataFormatError` rather than an `OSError` or
-`UnicodeDecodeError`. Every output file (checkpoints, vocabularies, the loss
-curve, rankings, analogy and k-shot reports, highlight HTML and the fc
-outputs) is written through `write_atomic`, so a reader sees either the old
-file or the new one, never a half-written one, and a write that fails ends in
-an `OutputError` naming the file.
+`UnicodeDecodeError`, and a leading byte-order mark is dropped for every one.
+Every output file (checkpoints, vocabularies, the loss curve, rankings,
+analogy and k-shot reports, highlight HTML and the fc outputs) is written
+through `write_atomic`, so a reader sees either the old file or the new one,
+never a half-written one, and a write that fails ends in an `OutputError`
+naming the file.
 
 Scoring runs as batched matrix work (`model.predict_masked`), which BLAS
 already parallelises, so no part of the program calls `pmap` or reads
@@ -81,10 +82,11 @@ def read_text(path: str | Path, what: str, errors: str = "strict") -> str:
 
     `what` names the file in the message. With errors="surrogateescape" each
     undecodable byte becomes a lone surrogate, for a caller that judges the
-    text line by line.
+    text line by line. One leading byte-order mark is dropped after decoding,
+    so a decode error's byte offset counts from the start of the file.
     """
     try:
-        return Path(path).read_bytes().decode("utf-8", errors=errors)
+        return Path(path).read_bytes().decode("utf-8", errors=errors).removeprefix("\ufeff")
     except OSError as exc:
         raise DataFormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -129,6 +129,20 @@ def test_eval_matches_per_item_recomputation(tiny_setup):
     assert grammar.top5 == pytest.approx(expect_top5)
 
 
+def test_subcategory_accuracy_is_its_hit_count_over_its_items(tiny_setup, monkeypatch):
+    # Categories at 0/1 and 15/22: rebuilt from the rounded rates the
+    # subcategory would read 0.6521739130434782, not 15/23.
+    vocab, params = tiny_setup
+    items = [AnalogyItem("one#0", "one", "grammar", "good", "bad", "hot", "cold")]
+    items += [AnalogyItem(f"many#{i}", "many", "grammar", "up", "down", "fast", "slow")
+              for i in range(22)]
+    hits = iter([(False, False)] + [(True, True)] * 15 + [(False, True)] * 7)
+    monkeypatch.setattr("qtmine.analogy._item_correct", lambda probs, gold, vocab: next(hits))
+    report = eval_analogies(params, vocab, items)
+    grammar = report.subcategories["grammar"]
+    assert (grammar.n, grammar.top1, grammar.top5) == (23, 15 / 23, 22 / 23)
+
+
 def test_eval_is_item_order_independent(tiny_setup):
     vocab, params = tiny_setup
     items = make_items()

@@ -26,6 +26,7 @@ from qtmine.config import RunConfig, apply_overrides, load_config
 from qtmine.errors import DataFormatError, OutputError, QtmineError
 from qtmine.highlight import parse_html_scores
 from qtmine.model import load_checkpoint, save_checkpoint
+from qtmine.qt import DEFAULT_RANK_TEMPLATE
 from qtmine.tokenizer import load_vocab
 from qtmine.util import get_logger, kv, max_workers, pmap, setup_logging, write_atomic
 
@@ -579,6 +580,31 @@ def test_side_effects_command(ws, capsys):
     assert "side-effects tamivir aggregate=" in capsys.readouterr().out
 
 
+def _per_position(capsys, argv) -> str:
+    assert main(argv) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if " per_position=" in l]
+    return line.split(" per_position=", 1)[1]
+
+
+def test_combine_scores_the_joined_drugs_as_qt_does(ws, capsys):
+    target = ["--target", "no benefit"]
+    combo = _per_position(capsys, ["--config", ws["config"], "combine", *model_args(ws),
+                                   "--drugs", "tamivir, zanavir", *target])
+    direct = _per_position(capsys, ["--config", ws["config"], "qt", *model_args(ws),
+                                    "--query", DEFAULT_RANK_TEMPLATE,
+                                    "--drug", "tamivir and zanavir", *target])
+    assert combo == direct
+
+
+def test_side_effects_scores_the_negative_target_as_qt_does(ws, capsys):
+    side = _per_position(capsys, ["--config", ws["config"], "side-effects", *model_args(ws),
+                                  "--drug", "tamivir", "--negative-target", "no benefit"])
+    direct = _per_position(capsys, ["--config", ws["config"], "qt", *model_args(ws),
+                                    "--query", DEFAULT_RANK_TEMPLATE, "--drug", "tamivir",
+                                    "--target", "no benefit"])
+    assert side == direct
+
+
 def test_highlight_command(ws, tmp_path, capsys):
     passage = "Tamivir reduced fever. Placebo did not. Dosing was daily."
     out_html = tmp_path / "h.html"
@@ -819,6 +845,8 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return ["--config", config, "rank", *model_args(ws), "--year", "2002", "--target", ""]
     if case == "qt-target-empty":
         return ["--config", config, "qt", *model_args(ws), "--query", "x <mask>", "--target", ""]
+    if case == "combine-one-drug":
+        return ["--config", config, "combine", *model_args(ws), "--drugs", "tamivir, "]
     if case == "fc-target-empty":
         return ["--config", config, "fc", "--years", "2001:2002", "--outdir",
                 str(tmp_path / "out"), "--target", ""]
@@ -875,6 +903,7 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("rank-template-empty", "TemplateError"),
     ("rank-target-empty", "EvalError"),
     ("qt-target-empty", "EvalError"),
+    ("combine-one-drug", "EvalError"),
     ("fc-target-empty", "EvalError"),
     ("fc-template-no-slot", "TemplateError"),
     ("fc-years-out-of-range", "DataFormatError"),

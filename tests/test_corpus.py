@@ -103,6 +103,33 @@ def test_table_loaders_reject_non_utf8(tmp_path, loader):
         loader(path)
 
 
+@pytest.mark.parametrize("loader", [load_trials, load_aliases, load_approvals,
+                                    load_analogies])
+def test_a_decode_error_after_a_bom_gives_the_offset_in_the_file(tmp_path, loader):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\xef\xbb\xbftrial_id\n\xff\n")
+    with pytest.raises(DataFormatError, match="not valid UTF-8 at byte 12$"):
+        loader(path)
+
+
+BOM_CASES = [
+    (load_corpus, "c.jsonl", "".join(json.dumps(doc_obj(i, 2000 + i)) + "\n" for i in range(3))),
+    (load_trials, "t.csv", "trial_id,year,drugs,condition\nT1,2001,tamivir,flu\n"),
+    (load_aliases, "a.csv", "trade_name,scientific_name\nTamiflu,oseltamivir\n"),
+    (load_approvals, "ap.csv", "drug,approval_year\ntamivir,2003\n"),
+    (load_analogies, "an.tsv", "opposites\tgrammar\tgood\tbad\thot\tcold\n"
+                               "opposites\tgrammar\tup\tdown\tfast\tslow\n"),
+]
+
+
+@pytest.mark.parametrize("loader,name,text", BOM_CASES, ids=[c[1] for c in BOM_CASES])
+def test_loaders_read_a_file_with_a_bom_as_the_plain_file(tmp_path, loader, name, text):
+    plain, bom = tmp_path / name, tmp_path / ("bom-" + name)
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert loader(bom) == loader(plain)
+
+
 def test_document_text_joins_nonempty_parts():
     d = Document(id="a", title="T", abstract="", body="B")
     assert d.text() == "T\nB"
@@ -299,3 +326,14 @@ def test_load_analogies_rejects_bad_rows(tmp_path, line):
 def test_load_analogies_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_analogies(tmp_path / "absent.tsv")
+
+
+def test_load_analogies_reads_crlf_like_lf(tmp_path):
+    rows = ["opposites\tgrammar\tgood\tbad\thot\tcold", "",
+            "opposites\tgrammar\tup\tdown\tfast\tslow"]
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes("".join(r + "\n" for r in rows).encode("utf-8"))
+    crlf.write_bytes("".join(r + "\r\n" for r in rows).encode("utf-8"))
+    items = load_analogies(lf)
+    assert len(items) == 2
+    assert load_analogies(crlf) == items

@@ -16,13 +16,11 @@ from qtmine.qt import (
     MASK_PLACEHOLDER,
     QuerySpec,
     TargetSpec,
-    combination_score,
     masked_span_query,
     mlm_predict,
     permuted_analogy,
     qt_score,
     rank_by_qt,
-    side_effect_score,
     target_mass,
     topk_tokens,
 )
@@ -293,7 +291,8 @@ def test_rank_and_combine_score_a_marker_in_a_drug_as_text(tiny_setup):
     n_masks = DEFAULT_RANK_TEMPLATE.count(MASK_PLACEHOLDER)
     for item in rank_by_qt(params, vocab, ["ab<mask>cd", "alfa"], target=target):
         assert len(item.score.per_position) == n_masks
-    combo = combination_score(params, vocab, ["ab<mask>cd", "alfa"], target=target)
+    combo = qt_score(params, QuerySpec.render(vocab, DEFAULT_RANK_TEMPLATE,
+                                              drug="ab<mask>cd and alfa"), target)
     assert len(combo.per_position) == n_masks
 
 
@@ -374,28 +373,6 @@ def test_permuted_analogy_reads_the_prompt_mask_after_a_marker_in_a_term(tiny_se
     assert query.mask_positions == (len(query.ids) - 2,)  # the prompt's final mask
     assert list(query.ids[1:-2]) == encode(vocab, "x<mask> is to y as x<mask> is to ")
     assert len(out) == 3
-
-
-def test_combination_score_matches_joined_query(tiny_setup):
-    vocab, params = tiny_setup
-    target = TargetSpec.from_phrase(vocab, "efficacy")
-    combo = combination_score(params, vocab, ["alfa", "bravo"], target=target)
-    direct = qt_score(
-        params,
-        QuerySpec.render(vocab, DEFAULT_RANK_TEMPLATE, drug="alfa and bravo"),
-        target,
-    )
-    assert combo == direct
-    with pytest.raises(EvalError):
-        combination_score(params, vocab, ["alfa"], target=target)
-
-
-def test_side_effect_score_uses_negative_target(tiny_setup):
-    vocab, params = tiny_setup
-    neg = TargetSpec.from_phrase(vocab, "severe harm")
-    got = side_effect_score(params, vocab, "alfa", neg)
-    direct = qt_score(params, QuerySpec.render(vocab, DEFAULT_RANK_TEMPLATE, drug="alfa"), neg)
-    assert got == direct
 
 
 def test_target_mass_is_plain_sum(tiny_setup):
