@@ -33,8 +33,8 @@ from . import model as M
 from . import qt as Q
 from . import train as T
 from .config import RunConfig, apply_overrides, load_config
-from .corpus import (YEAR_MAX, YEAR_MIN, DocumentSet, load_aliases, load_analogies,
-                     load_approvals, load_corpus, load_trials)
+from .corpus import (YEAR_MAX, YEAR_MIN, load_aliases, load_analogies, load_approvals,
+                     load_corpus, load_trials)
 from .errors import DataFormatError, EvalError, QtmineError
 from .tokenizer import encode, load_vocab, save_vocab, train_bpe
 from .util import csv_bytes, get_logger, kv, read_text, setup_logging, write_atomic
@@ -230,12 +230,11 @@ def cmd_fc(args, cfg: RunConfig) -> int:
         base_seed=cfg.seed,
         template=cfg.template,
         target_phrase=cfg.target,
-        retrain=not args.no_retrain,
         outdir=outdir,
     )
     print(f"fc years_scored={metrics.n_scored_years} "
           + " ".join(f"hits@{k}={v:.6f}" for k, v in metrics.mean_hits.items())
-          + f" mrr={metrics.mean_mrr:.6f} retrained={str(metrics.retrained).lower()}")
+          + f" mrr={metrics.mean_mrr:.6f} retrained=true")
     return 0
 
 
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"e.g. 2005:2016 or 2005,2010, years in {YEAR_MIN}..{YEAR_MAX}")
     p.add_argument("--target")
     p.add_argument("--outdir")
-    p.add_argument("--no-retrain", dest="no_retrain", action="store_true",
-                   help="reuse one full-corpus model instead of retraining per cutoff")
 
     p = sub.add_parser("mine", help="mine related terms via a permuted analogy prompt")
     _add_model_flags(p)
@@ -372,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("highlight", help="per-sentence passage highlighting")
     _add_model_flags(p)
-    p.add_argument("--passage")
-    p.add_argument("--passage-file", dest="passage_file")
+    passage = p.add_mutually_exclusive_group()
+    passage.add_argument("--passage")
+    passage.add_argument("--passage-file", dest="passage_file")
     p.add_argument("--target-term", dest="target_term", required=True)
     p.add_argument("--out-html", dest="out_html")
 

@@ -6,10 +6,6 @@ registered up to that year, and the ranking is scored against approvals that
 happened strictly afterwards. Nothing dated after the cutoff can influence a
 run: undated documents are excluded, and the per-cutoff seed is derived from
 (base_seed, cutoff) so reruns are bit-identical.
-
-A weaker mode reuses one model trained on the full corpus and only limits the
-candidate list per year; it exists for comparison and is labeled as such in
-the metrics output.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ class FcMetrics:
     mean_hits: Mapping[int, float]
     mean_mrr: float
     n_scored_years: int
-    retrained: bool
 
 
 def _run_metrics(run: FcRun) -> YearMetrics:
@@ -71,7 +66,7 @@ def _run_metrics(run: FcRun) -> YearMetrics:
                        n_approved=len(present), hits=hits, mrr=mrr)
 
 
-def score_runs(runs: Sequence[FcRun], retrained: bool) -> FcMetrics:
+def score_runs(runs: Sequence[FcRun]) -> FcMetrics:
     """Aggregate run metrics; zero-candidate runs are excluded from averages."""
     rows = [_run_metrics(run) for run in runs if run.candidates]
     if rows:
@@ -81,7 +76,7 @@ def score_runs(runs: Sequence[FcRun], retrained: bool) -> FcMetrics:
         mean_hits = {k: 0.0 for k in HIT_KS}
         mean_mrr = 0.0
     return FcMetrics(per_year=tuple(rows), mean_hits=mean_hits, mean_mrr=mean_mrr,
-                     n_scored_years=len(rows), retrained=retrained)
+                     n_scored_years=len(rows))
 
 
 def train_at_cutoff(
@@ -110,8 +105,8 @@ def train_at_cutoff(
 
 
 def rank_current(params: M.Params, vocab: Vocab, trials: Sequence[TrialRecord], year: int,
-                 template: str = DEFAULT_RANK_TEMPLATE,
-                 target: TargetSpec | None = None) -> list[RankedItem]:
+                 *, template: str = DEFAULT_RANK_TEMPLATE,
+                 target: TargetSpec) -> list[RankedItem]:
     """Rank every drug trialed up to `year` with the given model."""
     return rank_by_qt(params, vocab, candidates_at_year(trials, year),
                       template=template, target=target)
@@ -129,15 +124,10 @@ def fc_analysis(
     base_seed: int,
     template: str = DEFAULT_RANK_TEMPLATE,
     target_phrase: str = DEFAULT_TARGET_PHRASE,
-    retrain: bool = True,
     outdir: str | Path | None = None,
 ) -> tuple[list[FcRun], FcMetrics]:
-    """Run the year-by-year analysis and aggregate the metrics.
-
-    With retrain=False a single model trained on the full dated corpus is
-    reused for every cutoff (candidates are still year-limited); this is the
-    weaker reading and is flagged in the emitted metrics.
-    """
+    """Run the year-by-year analysis, training one model per scored cutoff, and
+    aggregate the metrics."""
     if list(years) != sorted(set(years)):
         raise EvalError("cutoff years must be strictly ascending")
     if not years:
@@ -145,15 +135,8 @@ def fc_analysis(
     if not target_phrase:
         raise EvalError("target phrase is empty")  # no vocabulary gives it a token
     check_slot(template, DRUG_SLOT, True)
-    horizon = None  # the cutoff of the one model the weaker mode trains
-    if not retrain:
-        dated = [d.publish_year for d in docs.documents if d.publish_year is not None]
-        if not dated:
-            raise EvalError("no dated documents in the corpus")
-        horizon = max(max(dated), max(years))
 
     runs: list[FcRun] = []
-    model_cutoff = None
     for cutoff in years:
         candidates = candidates_at_year(trials, cutoff)
         after = tuple(sorted((a.drug, a.approval_year) for a in approvals
@@ -163,12 +146,9 @@ def fc_analysis(
             runs.append(FcRun(cutoff_year=cutoff, candidates=(), ranked=(),
                               approvals_after=after))
             continue
-        train_to = cutoff if retrain else horizon
-        if train_to != model_cutoff:
-            vocab, params = train_at_cutoff(docs, train_to, vocab_size=vocab_size,
-                                            model_dims=model_dims, train_cfg=train_cfg,
-                                            base_seed=base_seed)
-            model_cutoff = train_to
+        vocab, params = train_at_cutoff(docs, cutoff, vocab_size=vocab_size,
+                                        model_dims=model_dims, train_cfg=train_cfg,
+                                        base_seed=base_seed)
         target = TargetSpec.from_phrase(vocab, target_phrase)
         ranked = rank_by_qt(params, vocab, candidates, template=template, target=target)
         runs.append(FcRun(cutoff_year=cutoff, candidates=tuple(candidates),
@@ -176,7 +156,7 @@ def fc_analysis(
         logger.info(kv(event="fc_run", cutoff=cutoff, candidates=len(candidates),
                        top=ranked[0].candidate if ranked else ""))
 
-    metrics = score_runs(runs, retrained=retrain)
+    metrics = score_runs(runs)
     if outdir is not None:
         write_fc_outputs(runs, metrics, outdir)
     return runs, metrics
@@ -205,7 +185,7 @@ def write_fc_outputs(runs: Sequence[FcRun], metrics: FcMetrics, outdir: str | Pa
     write_atomic(outdir / "fc_plot.csv", csv_bytes(plot))
 
     payload = {
-        "retrained": metrics.retrained,
+        "retrained": True,  # every cutoff trains its own model; kept for older readers
         "n_scored_years": metrics.n_scored_years,
         "mean_hits": {f"hits@{k}": v for k, v in metrics.mean_hits.items()},
         "mean_mrr": metrics.mean_mrr,

@@ -225,8 +225,8 @@ def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
 
 
 def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
-               template: str = DEFAULT_RANK_TEMPLATE,
-               target: TargetSpec | None = None) -> list[RankedItem]:
+               *, template: str = DEFAULT_RANK_TEMPLATE,
+               target: TargetSpec) -> list[RankedItem]:
     """Score every candidate through the template and sort best-first.
 
     Ties are broken lexicographically by candidate name, so the output is
@@ -234,8 +234,6 @@ def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],
     yields an empty ranking.
     """
     check_slot(template, DRUG_SLOT, True)
-    if target is None:
-        target = TargetSpec.from_phrase(vocab, DEFAULT_TARGET_PHRASE)
     if not candidates:
         return []
 

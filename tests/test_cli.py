@@ -251,11 +251,6 @@ def test_build_parser_routes_subcommands():
     assert args.query == "x <mask>"
     assert args.agg == "mean" and args.mode == "mass"
 
-    args = parser.parse_args(["fc", "--years", "2001:2003"])
-    assert args.no_retrain is False
-    args = parser.parse_args(["fc", "--years", "2001", "--no-retrain"])
-    assert args.no_retrain is True
-
     args = parser.parse_args(["kshot", "--k", "2", "--steps", "9"])
     assert (args.k, args.steps) == (2, 9)
 
@@ -630,6 +625,16 @@ def test_highlight_command_reads_passage_file(ws, tmp_path, capsys):
     assert "\x1b[" in capsys.readouterr().out
 
 
+def test_highlight_passage_and_passage_file_together_are_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "passage.txt"
+    src.write_text("One sentence here.", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["highlight", "--passage", "Another sentence.", "--passage-file", str(src),
+              "--target-term", "efficacy"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_perplexity_command(ws, capsys):
     rc = main(["--config", ws["config"], "perplexity", *model_args(ws)])
     assert rc == 0
@@ -652,14 +657,6 @@ def test_fc_command_retrains_per_cutoff(ws, tmp_path, capsys):
         assert (outdir / name).exists()
     metrics = json.loads((outdir / "fc_metrics.json").read_text(encoding="utf-8"))
     assert metrics
-
-
-def test_fc_command_no_retrain(ws, tmp_path, capsys):
-    outdir = tmp_path / "fc"
-    rc = main(["--config", ws["config"], "fc", "--years", "2002",
-               "--outdir", str(outdir), "--no-retrain"])
-    assert rc == 0
-    assert "retrained=false" in capsys.readouterr().out
 
 
 def test_cli_flag_overrides_config_path(ws, tmp_path):

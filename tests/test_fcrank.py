@@ -26,7 +26,7 @@ from qtmine.fcrank import (
     write_fc_outputs,
 )
 from qtmine.model import ModelConfig, init_params
-from qtmine.qt import QtScore, RankedItem
+from qtmine.qt import DEFAULT_TARGET_PHRASE, QtScore, RankedItem, TargetSpec
 from qtmine.tokenizer import train_bpe
 from qtmine.train import TrainConfig, build_windows
 
@@ -106,13 +106,12 @@ def test_hits_and_mrr_fuzz():
 def test_score_runs_excludes_empty_years():
     scored = FcRun(2001, ("a", "b"), ranked_items("a", "b"), (("a", 2002),))
     empty = FcRun(1995, (), (), (("a", 2002),))
-    metrics = score_runs([empty, scored], retrained=True)
+    metrics = score_runs([empty, scored])
     assert metrics.n_scored_years == 1
     assert len(metrics.per_year) == 1
     assert metrics.mean_hits[1] == 1.0
     assert metrics.mean_mrr == pytest.approx(1.0)
-    assert metrics.retrained is True
-    silent = score_runs([empty], retrained=False)
+    silent = score_runs([empty])
     assert silent.n_scored_years == 0
     assert silent.mean_hits == {k: 0.0 for k in HIT_KS}
 
@@ -200,7 +199,6 @@ def test_fc_analysis_structure_and_aggregation(fc_docs, tmp_path):
     for k in HIT_KS:
         assert metrics.mean_hits[k] == pytest.approx(np.mean([m.hits[k] for m in expect]))
     assert metrics.mean_mrr == pytest.approx(np.mean([m.mrr for m in expect]))
-    assert metrics.retrained is True
 
     # emitted files parse and agree with the in-memory results
     out = tmp_path / "out"
@@ -240,20 +238,9 @@ def test_fc_analysis_records_empty_years(fc_docs, qtmine_log):
     assert [m for m in qtmine_log if "1995" in m] == ["event=fc_no_candidates cutoff=1995"]
 
 
-def test_fc_analysis_shared_model_mode(fc_docs):
-    runs, metrics = fc_analysis(fc_docs, TRIALS, APPROVALS, [2001, 2002],
-                                vocab_size=FC_VOCAB, model_dims=MODEL_DIMS,
-                                train_cfg=FC_TRAIN, base_seed=1, retrain=False)
-    assert metrics.retrained is False
-    assert list(runs[0].candidates) == ["gemavir", "tamivir"]
-    assert list(runs[1].candidates) == ["gemavir", "ocrevir", "tamivir", "zanavir"]
-    assert len(runs[0].ranked) == 2 and len(runs[1].ranked) == 4
-
-
-@pytest.mark.parametrize("retrain", [True, False])
-def test_fc_analysis_trains_once_per_model(fc_docs, monkeypatch, retrain):
-    # Retraining trains at each scored cutoff; the weaker mode trains once, at
-    # the later of the last dated document and the last cutoff.
+def test_fc_analysis_trains_once_per_model(fc_docs, monkeypatch):
+    # Each scored cutoff trains once, on its own cutoff; 1995 has no
+    # candidates and trains nothing.
     cutoffs = []
 
     def counting(docs, cutoff, **kwargs):
@@ -262,19 +249,25 @@ def test_fc_analysis_trains_once_per_model(fc_docs, monkeypatch, retrain):
 
     monkeypatch.setattr("qtmine.fcrank.train_at_cutoff", counting)
     fc_analysis(fc_docs, TRIALS, APPROVALS, [1995, 2001, 2002], vocab_size=FC_VOCAB,
-                model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=1, retrain=retrain)
-    last_dated = max(d.publish_year for d in fc_docs.documents if d.publish_year is not None)
-    assert cutoffs == ([2001, 2002] if retrain else [max(last_dated, 2002)])
+                model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=1)
+    assert cutoffs == [2001, 2002]
 
 
 def test_rank_current_covers_all_candidates(fc_docs):
     vocab, params = train_at_cutoff(fc_docs, 2001, vocab_size=FC_VOCAB,
                                     model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=5)
-    ranked = rank_current(params, vocab, TRIALS, 2001)
+    ranked = rank_current(params, vocab, TRIALS, 2001,
+                          target=TargetSpec.from_phrase(vocab, DEFAULT_TARGET_PHRASE))
     assert sorted(i.candidate for i in ranked) == ["gemavir", "tamivir"]
+
+
+def test_rank_current_requires_a_keyword_target():
+    # The arguments are checked at the call, before the model is touched.
+    with pytest.raises(TypeError, match="target"):
+        rank_current(None, None, TRIALS, 2001)
 
 
 def test_write_fc_outputs_empty_run_writes_header_only(tmp_path):
     runs = [FcRun(1999, (), (), ())]
-    write_fc_outputs(runs, score_runs(runs, retrained=True), tmp_path)
+    write_fc_outputs(runs, score_runs(runs), tmp_path)
     assert (tmp_path / "rank_1999.csv").read_text().strip() == "rank,candidate,score"

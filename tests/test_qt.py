@@ -247,7 +247,16 @@ def test_rank_by_qt_orders_and_is_input_order_independent(tiny_setup):
     assert shuffled == ranked
     assert rank_by_qt(params, vocab, [], target=target) == []
     with pytest.raises(TemplateError):
-        rank_by_qt(params, vocab, names, template="no slot <mask>")
+        rank_by_qt(params, vocab, names, template="no slot <mask>", target=target)
+
+
+def test_rank_by_qt_requires_a_keyword_target(tiny_setup):
+    vocab, params = tiny_setup
+    with pytest.raises(TypeError, match="target"):
+        rank_by_qt(params, vocab, ["alfa"])
+    with pytest.raises(TypeError):
+        rank_by_qt(params, vocab, ["alfa"], DEFAULT_RANK_TEMPLATE,
+                   TargetSpec.from_phrase(vocab, "efficacy"))
 
 
 def test_rank_by_qt_matches_per_candidate_scores(tiny_setup):
@@ -299,8 +308,9 @@ def test_rank_and_combine_score_a_marker_in_a_drug_as_text(tiny_setup):
 def test_a_query_longer_than_max_seq_is_a_template_error(tiny_setup):
     vocab, params = tiny_setup
     drug = "zq" * 100
+    target = TargetSpec.from_phrase(vocab, "efficacy")
     with pytest.raises(TemplateError, match=f"over max_seq {params.config.max_seq}.*{drug}"):
-        rank_by_qt(params, vocab, ["alfa", drug])
+        rank_by_qt(params, vocab, ["alfa", drug], target=target)
 
 
 # ---------------------------------------------------------------------------
