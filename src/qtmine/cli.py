@@ -11,6 +11,10 @@ artifact byte for byte.
 parser once per process (`build_parser` is cached) and resolves the handler
 `cmd_<command>` in this module at each call, so a handler rebound after the
 first call, by a tracer or a test, is the one the next call runs.
+Its first call pins the process's malloc thresholds
+(`util.keep_freed_memory`), so the buffers each training step frees are
+reused by the next; the `event=start` line reports `malloc=pinned` or
+`malloc=unavailable`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from .corpus import (YEAR_MAX, YEAR_MIN, load_aliases, load_analogies, load_appr
                      load_corpus, load_trials)
 from .errors import DataFormatError, EvalError, QtmineError
 from .tokenizer import encode, load_vocab, save_vocab, train_bpe
-from .util import csv_bytes, get_logger, kv, read_text, setup_logging, write_atomic
+from .util import (csv_bytes, get_logger, keep_freed_memory, kv, read_text, setup_logging,
+                   write_atomic)
 
 logger = get_logger()
 
@@ -379,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    malloc = keep_freed_memory()
     setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -389,7 +395,8 @@ def main(argv=None) -> int:
         if cfg.seed < 0:
             raise DataFormatError(f"seed must be non-negative, got {cfg.seed}")
         logger.info(kv(event="start", command=args.command,
-                       time=datetime.now(timezone.utc).isoformat(), seed=cfg.seed))
+                       time=datetime.now(timezone.utc).isoformat(), seed=cfg.seed,
+                       malloc=malloc))
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args, cfg)
     except QtmineError as exc:
         print(f"error type={type(exc).__name__} msg={exc}", file=sys.stderr)

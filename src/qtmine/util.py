@@ -1,5 +1,5 @@
 """Small shared helpers: key=value logging, the data-file reader, the atomic
-file writer, and a thread map no module uses.
+file writer, the CLI's allocator setting, and a thread map no module uses.
 
 Every loader reads its file through `read_text`, so a missing, unreadable or
 non-UTF-8 file ends in a `DataFormatError` rather than an `OSError` or
@@ -9,6 +9,16 @@ analogy and k-shot reports, highlight HTML and the fc outputs) is written
 through `write_atomic`, so a reader sees either the old file or the new one,
 never a half-written one, and a write that fails ends in an `OutputError`
 naming the file.
+
+`keep_freed_memory` pins glibc's malloc thresholds for the CLI process, which
+`cli.main` asks for first. Under glibc's defaults the megabyte-sized NumPy
+temporaries that every forward and backward pass frees go back to the kernel:
+a block above the mmap threshold is unmapped, and the top of the heap is
+trimmed. The next step then faults the pages in afresh, zeroed by the kernel.
+With the mmap threshold at 32 MiB and the trim threshold at 64 MiB, freed
+blocks stay in the heap and the next step reuses them; up to 64 MiB of freed
+memory stays mapped. Only the CLI sets them: importing `qtmine` as a library
+leaves the allocator as it was.
 
 Scoring runs as batched matrix work (`model.predict_masked`), which BLAS
 already parallelises, so no part of the program calls `pmap` or reads
@@ -22,6 +32,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import functools
 import io
 import logging
 import os
@@ -37,6 +49,11 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 _LOG_FORMAT = "%(levelname)s %(message)s"
+
+# glibc's mallopt parameters, and its 64-bit maximum mmap threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 def get_logger(name: str = "qtmine") -> logging.Logger:
@@ -122,6 +139,30 @@ def csv_bytes(rows) -> bytes:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+@functools.cache
+def keep_freed_memory() -> str:
+    """Keep the memory this process frees mapped for reuse; returns "pinned"
+    or "unavailable".
+
+    Sets glibc's mmap threshold to its maximum, 32 MiB, and then its trim
+    threshold to twice that, as glibc's own dynamic rule would. Both are set:
+    either alone switches off glibc's dynamic threshold and is slower than the
+    default. Where the C library has no `mallopt` (macOS, Windows), or it
+    refuses a value (musl's stub returns 0), nothing else changes and the
+    result is "unavailable". Runs once per process; outputs do not depend on it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return "unavailable"
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) == 1):
+        return "pinned"
+    return "unavailable"
 
 
 def max_workers() -> int:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
 import logging
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -28,7 +30,8 @@ from qtmine.highlight import parse_html_scores
 from qtmine.model import load_checkpoint, save_checkpoint
 from qtmine.qt import DEFAULT_RANK_TEMPLATE
 from qtmine.tokenizer import load_vocab
-from qtmine.util import get_logger, kv, max_workers, pmap, setup_logging, write_atomic
+from qtmine.util import (get_logger, keep_freed_memory, kv, max_workers, pmap, setup_logging,
+                         write_atomic)
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
 
@@ -976,3 +979,50 @@ def test_cold_start_imports_numpy_random_and_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                           timeout=120, check=True)
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the CLI's malloc thresholds (util.keep_freed_memory)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_a_cli_process_on_glibc_reports_its_pinned_malloc_thresholds(ws, tmp_path):
+    rc, err = run_cli_process(["--config", ws["config"], "train-tokenizer",
+                               "--out", str(tmp_path / "vocab.json")])
+    assert rc == 0, err
+    assert re.search(r"event=start command=train-tokenizer .* malloc=pinned\b", err), err
+
+
+def test_importing_qtmine_leaves_the_allocator_alone():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import qtmine.cli, qtmine.util; print(qtmine.util.keep_freed_memory.cache_info().misses)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "0"
+
+
+class _Libc:
+    """A C library whose mallopt records each call and returns `result`."""
+
+    def __init__(self, result):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or result
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+def test_keep_freed_memory_sets_the_mmap_then_the_trim_threshold(monkeypatch):
+    libc = _Libc(1)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert keep_freed_memory.__wrapped__() == "pinned"
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object(), lambda name: _Libc(0)],
+                         ids=["cdll-raises", "no-mallopt", "mallopt-refuses"])
+def test_keep_freed_memory_without_a_working_mallopt_is_unavailable(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert keep_freed_memory.__wrapped__() == "unavailable"

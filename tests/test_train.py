@@ -1,16 +1,25 @@
 """Training-loop tests: schedule values, Adam against a scalar reference,
-masking invariants, windowing, determinism, and fine-tune isolation."""
+masking invariants, windowing, determinism, fine-tune isolation, and the
+CLI's allocator setting (page faults per step, checkpoint bytes)."""
 
+import ctypes
 import hashlib
+import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synth
+from qtmine.cli import main
+from qtmine.corpus import load_corpus
 from qtmine.errors import DataFormatError, QtmineError
 from qtmine.model import ModelConfig, init_params, save_checkpoint
-from qtmine.tokenizer import encode, save_vocab, train_bpe
+from qtmine.tokenizer import encode, load_vocab, save_vocab, train_bpe
 from qtmine.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -27,6 +36,7 @@ from qtmine.train import (
     perplexity,
     train,
 )
+from qtmine.util import keep_freed_memory
 
 TEXTS = [
     "the drug blocks the protein.",
@@ -385,3 +395,87 @@ def test_train_config_max_steps_is_none_or_positive():
             TrainConfig(max_steps=bad)
     assert TrainConfig(max_steps=1).max_steps == 1
     assert TrainConfig().max_steps is None
+
+
+# ---------------------------------------------------------------------------
+# The CLI's allocator setting (util.keep_freed_memory)
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports qtmine from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+
+
+def _has_mallopt() -> bool:
+    try:
+        import resource  # noqa: F401
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (ImportError, OSError, TypeError):
+        return False
+
+
+# Minor page faults per training step on one fixed fc-shaped batch (d_model
+# 64, d_ff 256, 1 layer, 32 windows of 62 tokens), after two warm-up steps;
+# argv[1] == "pinned" calls keep_freed_memory() first.
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from qtmine import model as M, train as T
+from qtmine.util import keep_freed_memory
+if sys.argv[1] == "pinned":
+    assert keep_freed_memory() == "pinned"
+cfg = M.ModelConfig(n_layers=1, n_heads=2, d_model=64, d_ff=256, max_seq=128, vocab_size=400)
+params = M.init_params(cfg, seed=0)
+adam = T.AdamState(params)
+rng = np.random.default_rng(0)
+ids = rng.integers(5, 400, size=(32, 62))
+delta = rng.random(ids.shape) < 0.15
+batch = T.MaskedBatch(ids=ids, lengths=np.full(32, 62), delta=delta, labels=ids[delta])
+for step in (1, 2):
+    T._step(params, adam, batch, 1e-4, step)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for step in range(3, 13):
+    T._step(params, adam, batch, 1e-4, step)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs the C library's mallopt and the resource module")
+def test_pinned_malloc_thresholds_stop_a_step_faulting_in_fresh_pages():
+    pinned = float(_python(_FAULT_PROBE, "pinned").stdout)
+    default = float(_python(_FAULT_PROBE, "default").stdout)
+    assert pinned < default / 10, (pinned, default)
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_allocator(tmp_path):
+    """`qtmine train` with the malloc thresholds pinned and left at glibc's
+    defaults writes the same checkpoint. Every batch holds all the windows,
+    at least 512 packed rows, so the first layer's FFN activations (rows x
+    d_ff 256, float32) pass glibc's default 128 KiB mmap threshold."""
+    corpus = synth.write_fc_corpus(tmp_path / "corpus.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "corpus": str(corpus), "n_layers": 2, "n_heads": 2, "d_model": 32, "d_ff": 256,
+        "max_seq": 128, "vocab_size": 300, "lr": 1e-3, "batch_size": 32, "n_epochs": 3,
+        "seed": 3,
+    }), encoding="utf-8")
+    vocab = tmp_path / "vocab.json"
+    assert main(["--config", str(config), "train-tokenizer", "--out", str(vocab)]) == 0
+    windows = build_windows(load_vocab(vocab), [d.text() for d in load_corpus(corpus).documents], 128)
+    assert len(windows) <= 32 and sum(len(w) for w in windows) >= 512
+
+    run = ("import sys; from qtmine import cli\n"
+           "if sys.argv[1] == 'default':\n"
+           "    cli.keep_freed_memory = lambda: 'unavailable'\n"
+           "sys.exit(cli.main(sys.argv[2:]))")
+    ckpts = {}
+    for malloc in ("pinned", "default"):
+        ckpts[malloc] = tmp_path / f"{malloc}.ckpt"
+        proc = _python(run, malloc, "--config", str(config), "train", "--vocab", str(vocab),
+                       "--out", str(ckpts[malloc]))
+        expected = keep_freed_memory() if malloc == "pinned" else "unavailable"
+        assert f"malloc={expected}" in proc.stderr, proc.stderr
+    assert ckpts["pinned"].read_bytes() == ckpts["default"].read_bytes()
