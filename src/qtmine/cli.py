@@ -156,7 +156,7 @@ def cmd_analogies(args, cfg: RunConfig) -> int:
 
 
 def cmd_kshot(args, cfg: RunConfig) -> int:
-    train_cfg = T.TrainConfig(lr=cfg.lr)
+    train_cfg = T.TrainConfig(lr=args.kshot_lr)
     vocab, params = _load_model(args)
     items = load_analogies(_require(cfg.analogies, "analogies"))
     sentences, excluded = A.sample_kshot(items, args.k, cfg.seed)
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--lr", dest="kshot_lr", metavar="LR", type=float, default=1e-4)
     p.add_argument("--out", help="save the fine-tuned checkpoint here")
     p.add_argument("--out-json", dest="out_json")
 

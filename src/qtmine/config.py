@@ -1,10 +1,11 @@
 """Run configuration: one JSON file, overridable field by field from the CLI.
 
 Only the keys present in the file are applied, so a config stays minimal and
-self-documenting; unknown keys, and values of the wrong type for their
-`RunConfig` field, are rejected rather than silently ignored. A command-line
-flag replaces the file's value, an empty string included. The single seed
-here feeds every stochastic component of a run.
+self-documenting; unknown keys, values of the wrong type for their
+`RunConfig` field, and strings that are not valid UTF-8 are rejected rather
+than silently ignored. A command-line flag replaces the file's value, an
+empty string included. The single seed here feeds every stochastic component
+of a run.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def _checked(path, key: str, value):
     base = next(t for t in types if t is not type(None))
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[base]):
         raise DataFormatError(f"config {path}: {key} must be {base.__name__}, got {value!r}")
+    if base is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, such as a \ud800 escape
+            raise DataFormatError(f"config {path}: {key} is not valid UTF-8, got {value!r}") from None
     return base(value)
 
 

@@ -115,6 +115,13 @@ class AnalogyItem:
 
 
 def _parse_document(obj: dict) -> Document:
+    text = {key: str(obj.get(key, "")) for key in ("id", "title", "abstract", "body",
+                                                    "source", "license")}
+    for key, value in text.items():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # an undecodable byte or a \ud800 escape
+            raise ValueError(f"line is not valid UTF-8: field {key!r} holds a lone surrogate") from None
     for key in ("id", "title", "abstract", "body"):
         if key not in obj or obj[key] is None:
             raise ValueError(f"missing required field {key!r}")
@@ -124,21 +131,14 @@ def _parse_document(obj: dict) -> Document:
             raise ValueError(f"publish_year must be an integer, got {year!r}")
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise ValueError(f"publish_year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    return Document(
-        id=str(obj["id"]),
-        title=str(obj["title"]),
-        abstract=str(obj["abstract"]),
-        body=str(obj["body"]),
-        publish_year=year,
-        source=str(obj.get("source", "")),
-        license=str(obj.get("license", "")),
-    )
+    return Document(publish_year=year, **text)
 
 
 def load_corpus(path: str | Path) -> DocumentSet:
     """Load a JSON-lines corpus in file order, skipping malformed lines with a count.
 
-    A line that is not valid UTF-8 is malformed like any other bad line.
+    A document with a field that is not valid UTF-8, from an undecodable
+    byte or a lone-surrogate escape, is malformed like any other bad line.
     """
     text = read_text(path, "corpus", errors="surrogateescape")
     documents: list[Document] = []
@@ -149,10 +149,6 @@ def load_corpus(path: str | Path) -> DocumentSet:
         if not line:
             continue
         try:
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate stands for an undecodable byte
-                raise ValueError("line is not valid UTF-8") from None
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("line is not a JSON object")

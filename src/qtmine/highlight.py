@@ -1,16 +1,11 @@
-"""Attention views and per-sentence passage highlighting.
+"""Per-sentence passage highlighting.
 
-Two complementary signals: raw self-attention maps (a chosen layer/head, or
-the head-averaged final layer by default), and a target-conditioned score per
-query token — the softmax over the sequence of each position's hidden-state
-affinity with the mean target embedding.
-
-Passage highlighting splits text into sentences whose spans tile the passage
-exactly, renders each sentence into the template's `{sentence}` slot (as
-literal text, cut at a whole character if the query is too long), scores all
-sentences against the target term in one batched model call, max-normalizes,
-and renders to ANSI (5 intensity buckets) and to a standalone HTML file (one
-span per sentence, score kept at 6 decimals).
+The passage is split into sentences whose spans tile it exactly. Each
+sentence is rendered into the template's `{sentence}` slot (as literal text,
+cut at a whole character if the query is too long), all sentences are scored
+against the target term in one batched model call, and the scores are
+max-normalized. The result renders to ANSI (5 intensity buckets) and to a
+standalone HTML file (one span per sentence, score kept at 6 decimals).
 """
 
 from __future__ import annotations
@@ -19,9 +14,6 @@ import html as html_mod
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
 
 from . import model as M
 from .errors import EvalError
@@ -39,18 +31,6 @@ _SCORE_RE = re.compile(r'data-score="(\d+\.\d{6})"')
 
 
 @dataclass(frozen=True)
-class AttentionMap:
-    matrix: np.ndarray       # (S, S), rows sum to 1
-    layer: int
-    head: int | None         # None means averaged across heads
-
-    @property
-    def label(self) -> str:
-        head = "averaged" if self.head is None else str(self.head)
-        return f"layer={self.layer} head={head}"
-
-
-@dataclass(frozen=True)
 class SentenceScore:
     text: str    # exact slice of the passage, including trailing whitespace
     start: int
@@ -63,37 +43,6 @@ class HighlightDoc:
     sentences: tuple[SentenceScore, ...]
     target_term: str
     template: str
-
-
-def self_attention(params: M.Params, seq: Sequence[int],
-                   layer: int | None = None, head: int | None = None) -> AttentionMap:
-    """Attention rows for one layer/head; defaults to the head-averaged final layer."""
-    out = M.forward(params, list(seq), collect_attention=True)
-    n_layers, n_heads = out.attentions.shape[0], out.attentions.shape[1]
-    if layer is None:
-        layer = n_layers - 1
-    if not 0 <= layer < n_layers:
-        raise EvalError(f"layer {layer} out of range for {n_layers} layers")
-    if head is None:
-        matrix = out.attentions[layer].mean(axis=0)
-    else:
-        if not 0 <= head < n_heads:
-            raise EvalError(f"head {head} out of range for {n_heads} heads")
-        matrix = out.attentions[layer][head]
-    return AttentionMap(matrix=matrix, layer=layer, head=head)
-
-
-def qt_attention(params: M.Params, query: QuerySpec, target: TargetSpec) -> np.ndarray:
-    """Per-token association with the target, normalized over the sequence.
-
-    Each position's final hidden state is dotted with the mean embedding of
-    the target ids; the affinities are softmaxed over the sequence, so the
-    returned vector is nonnegative and sums to 1.
-    """
-    out = M.forward(params, list(query.ids), collect_attention=False)
-    target_emb = params.emb[list(target.ids)].mean(axis=0)
-    affinity = out.hidden @ target_emb
-    return M.stable_softmax(affinity)
 
 
 def split_sentences(passage: str) -> list[tuple[int, int]]:

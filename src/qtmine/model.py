@@ -1,12 +1,13 @@
 """Transformer encoder with a tied MLM head, in plain numpy.
 
 Pre-layer-norm blocks with GELU feed-forward; the output projection is tied to
-the input embedding table. Forward passes capture per-layer, per-head attention
-matrices for the highlighting module. The backward pass is hand-derived and is
-validated against central finite differences in the test suite; running it in
-float64 (`Params.astype`) is what lets that oracle pass tight tolerances. The
-forward pass keeps GELU's normal CDF in the layer cache, so the backward pass
-does not evaluate `erf` again.
+the input embedding table. `forward` also returns per-layer, per-head
+attention matrices, which the tests check against a straight-line reference.
+The backward pass is hand-derived and is validated against central finite
+differences in the test suite; running it in float64 (`Params.astype`) is
+what lets that oracle pass tight tolerances. The forward pass keeps GELU's
+normal CDF in the layer cache, so the backward pass does not evaluate `erf`
+again.
 
 Training and evaluation share one loss head (`_mlm_head`): it packs only the
 windows that hold a target, the vocabulary projection and the cross-entropy
@@ -44,8 +45,8 @@ partial sums, and may pick another kernel for a smaller product);
 Scoring reads the vocabulary distribution only where a query asks for it:
 `predict_masked` packs many sequences, sorted by length and read count, into
 one batch and projects onto the vocabulary at the requested positions alone.
-`forward` runs one sequence, a single run, and serves the attention views; it
-is the tests' per-sequence reference.
+`forward` runs one sequence, a single run: it is the per-sequence reference
+for the tests and for the benchmark's replay of scoring.
 
 GELU's `erf` and the initializer's normal quantile are NumPy ports, so the
 package needs no SciPy. `_erf` ports Cephes erf/erfc (S. Moshier), which

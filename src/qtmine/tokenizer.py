@@ -108,6 +108,15 @@ class Vocab:
         return self.tokens[token_id].decode("utf-8", errors="replace")
 
 
+def _utf8(text: str) -> bytes:
+    """The UTF-8 bytes of `text`; a lone surrogate in it is a DataFormatError."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataFormatError(f"text is not valid UTF-8: lone surrogate "
+                              f"{text[exc.start]!r} at character {exc.start}") from None
+
+
 def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     """Learn BPE merges from `texts`; see `train_and_encode`."""
     return train_and_encode(texts, vocab_size)[0]
@@ -138,7 +147,7 @@ def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list
     prv: list[int] = []
     starts: list[int] = []  # each text's first node, -1 for an empty text
     for text in texts:
-        data = text.encode("utf-8")
+        data = _utf8(text)
         if not data:
             starts.append(-1)
             continue
@@ -242,7 +251,7 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
     Special ids are never produced from raw text; the 256 byte tokens guarantee
     coverage of any UTF-8 input.
     """
-    ids: list[int] = list(text.encode("utf-8"))
+    ids: list[int] = list(_utf8(text))
     n = len(ids)
     if n < 2:
         return ids

@@ -297,6 +297,18 @@ def test_every_setting_flag_reaches_the_config(monkeypatch, command, argv, dest,
     assert getattr(seen[0], dest) == want
 
 
+@pytest.mark.parametrize("flags,kshot_lr", [([], 1e-4), (["--lr", "0.25"], 0.25)])
+def test_kshot_lr_leaves_the_config_lr(monkeypatch, tmp_path, flags, kshot_lr):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lr": 0.003}), encoding="utf-8")
+    seen = []
+    monkeypatch.setattr("qtmine.cli.cmd_kshot", lambda args, cfg: seen.append((args, cfg)) or 0)
+    assert main(["--config", str(config), "kshot", "--vocab", "v", "--checkpoint", "c",
+                 *flags]) == 0
+    args, cfg = seen[0]
+    assert (args.kshot_lr, cfg.lr) == (kshot_lr, 0.003)
+
+
 def _capture_perplexity(monkeypatch, seen: list):
     """Rebind `cmd_perplexity` to a handler that records its config and
     returns 0; the calls below need no model."""
@@ -845,6 +857,15 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
         return ["--config", config, "rank", *model_args(ws), "--year", "2002", "--target", ""]
     if case == "qt-target-empty":
         return ["--config", config, "qt", *model_args(ws), "--query", "x <mask>", "--target", ""]
+    if case == "config-target-surrogate":
+        return ["--config", _config_with(ws, tmp_path, target="x\ud800"), "qt", *model_args(ws),
+                "--query", "x <mask>"]
+    if case == "qt-target-not-utf8":  # the byte 0xff reaches argv as the lone surrogate \udcff
+        return ["--config", config, "qt", *model_args(ws), "--query", "x <mask>",
+                "--target", "\udcff"]
+    if case == "config-corpus-surrogate":
+        return ["--config", _config_with(ws, tmp_path, corpus="x\ud800.jsonl"),
+                "train-tokenizer", "--out", str(tmp_path / "out" / "vocab.json")]
     if case == "combine-one-drug":
         return ["--config", config, "combine", *model_args(ws), "--drugs", "tamivir, "]
     if case == "fc-target-empty":
@@ -903,6 +924,9 @@ def _bad_input_args(ws, tmp_path, case) -> list[str]:
     ("rank-template-empty", "TemplateError"),
     ("rank-target-empty", "EvalError"),
     ("qt-target-empty", "EvalError"),
+    ("config-target-surrogate", "DataFormatError"),
+    ("qt-target-not-utf8", "DataFormatError"),
+    ("config-corpus-surrogate", "DataFormatError"),
     ("combine-one-drug", "EvalError"),
     ("fc-target-empty", "EvalError"),
     ("fc-template-no-slot", "TemplateError"),

@@ -87,6 +87,17 @@ def test_load_corpus_skips_lines_that_are_not_utf8(tmp_path):
     assert docs.malformed_count == 2
 
 
+@pytest.mark.parametrize("field", ["id", "title", "source"])
+def test_load_corpus_skips_a_lone_surrogate_escape(tmp_path, qtmine_log, field):
+    bad = doc_obj(9, 2009, source="s")
+    bad[field] = "x\ud800y"
+    path = write_jsonl(tmp_path / "c.jsonl", [doc_obj(0), bad, doc_obj(1)])
+    docs = load_corpus(path)
+    assert [d.id for d in docs.documents] == ["doc0", "doc1"]
+    assert docs.malformed_count == 1
+    assert f"line=2 reason=line is not valid UTF-8: field '{field}'" in qtmine_log[0]
+
+
 @pytest.mark.parametrize("loader", [load_corpus, load_trials, load_aliases,
                                     load_approvals, load_analogies])
 def test_loaders_reject_a_directory(tmp_path, loader):

@@ -1,4 +1,4 @@
-"""Attention views and passage-highlighting tests."""
+"""Passage-highlighting tests."""
 
 import re
 
@@ -12,15 +12,12 @@ from qtmine.highlight import (
     ansi_bucket,
     highlight_passage,
     parse_html_scores,
-    qt_attention,
     render_ansi,
     render_html,
-    self_attention,
     split_sentences,
     write_html,
 )
-from qtmine.model import ModelConfig, forward, init_params
-from qtmine.qt import MASK_PLACEHOLDER, QuerySpec, TargetSpec, predict_queries
+from qtmine.qt import MASK_PLACEHOLDER, QuerySpec, predict_queries
 from qtmine.tokenizer import train_bpe
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
@@ -64,48 +61,6 @@ def test_split_sentences_fuzz_tiling():
 
 def test_split_sentences_empty():
     assert split_sentences("") == []
-
-
-# ---------------------------------------------------------------------------
-# Attention views
-
-
-def test_self_attention_defaults_to_averaged_final_layer(tiny_setup):
-    vocab, params = tiny_setup
-    seq = [vocab.bos_id, ord("a"), ord("b"), ord("c"), vocab.eos_id]
-    amap = self_attention(params, seq)
-    n_layers = params.config.n_layers
-    assert amap.layer == n_layers - 1 and amap.head is None
-    assert amap.matrix.shape == (5, 5)
-    np.testing.assert_allclose(amap.matrix.sum(axis=-1), 1.0, atol=1e-6)
-    # averaged view equals the mean over the collected per-head maps
-    out = forward(params, seq, collect_attention=True)
-    np.testing.assert_allclose(amap.matrix, out.attentions[n_layers - 1].mean(axis=0),
-                               rtol=1e-6)
-    assert "averaged" in amap.label
-
-
-def test_self_attention_selects_layer_and_head(tiny_setup):
-    vocab, params = tiny_setup
-    seq = [ord("a"), ord("b"), ord("c")]
-    amap = self_attention(params, seq, layer=0, head=1)
-    out = forward(params, seq, collect_attention=True)
-    np.testing.assert_array_equal(amap.matrix, out.attentions[0][1])
-    np.testing.assert_allclose(amap.matrix.sum(axis=-1), 1.0, atol=1e-6)
-    with pytest.raises(EvalError):
-        self_attention(params, seq, layer=params.config.n_layers)
-    with pytest.raises(EvalError):
-        self_attention(params, seq, head=params.config.n_heads)
-
-
-def test_qt_attention_is_a_distribution_over_tokens(tiny_setup):
-    vocab, params = tiny_setup
-    query = QuerySpec.render(vocab, "the drug showed <mask> <mask> overall.")
-    target = TargetSpec.from_phrase(vocab, "efficacy")
-    vec = qt_attention(params, query, target)
-    assert vec.shape == (len(query.ids),)
-    assert abs(vec.sum() - 1.0) < 1e-6
-    assert np.all(vec >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,14 @@ def test_decode_rejects_out_of_range_id():
         decode(vocab, [-1])
 
 
+def test_text_with_a_lone_surrogate_is_a_data_format_error():
+    vocab = train_bpe(SMALL_CORPUS, 300)
+    with pytest.raises(DataFormatError, match=r"lone surrogate '\\udcff' at character 1"):
+        encode(vocab, "x\udcff")
+    with pytest.raises(DataFormatError, match="not valid UTF-8"):
+        train_and_encode([*SMALL_CORPUS, "x\ud800y"], 300)
+
+
 def test_train_rejects_empty_corpus():
     with pytest.raises(DataFormatError):
         train_bpe([], 300)
