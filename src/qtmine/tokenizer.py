@@ -8,15 +8,15 @@ merges and this layout; neither is stored. There is no pre-tokenizer; merges
 are learned and applied directly on the raw byte stream of each document, so
 encode/decode is lossless for any UTF-8 text.
 
-Training and encoding share one structure: the bytes as a doubly linked list
-plus a lazy heap of candidate pairs. `encode` is an O(n log n) heap merge whose
-output equals applying the merges one rank at a time. Training keeps one pair
-table, each pair's exact set of live positions, whose size is its count. It
-applies each merge to all its occurrences as it learns it, so it ends with
-that encoding of every training text: `train_and_encode` hands the token
-streams back with the vocabulary, and a caller that trains on the same texts
-need not encode them again. The quadratic reference implementations in the
-test suite check both paths.
+`encode` holds one text's bytes as a doubly linked list plus a lazy heap of
+candidate pairs: an O(n log n) heap merge whose output equals applying the
+merges one rank at a time. Training holds the whole corpus in NumPy arrays
+(token ids, links, pair keys) and applies each merge to all its occurrences
+at once as it learns it, with exact pair counts in a dict. It ends with that
+encoding of every training text: `train_and_encode` hands the token streams
+back with the vocabulary, and a caller that trains on the same texts need not
+encode them again. The quadratic reference implementations in the test suite
+check both paths.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from __future__ import annotations
 import base64
 import heapq
 import json
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from time import perf_counter
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -122,6 +123,28 @@ def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     return train_and_encode(texts, vocab_size)[0]
 
 
+def _links(offsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Next and previous index arrays over the `n` positions of documents laid
+    back to back (`offsets`: each one's first position, then n), plus a
+    sentinel at index n. A link that leaves its document is -1, which indexes
+    the sentinel. An empty document's bounds fall on a neighbour's or on the
+    sentinel, so they need no filtering."""
+    nxt = np.arange(1, n + 2)
+    prv = np.arange(-1, n)
+    nxt[offsets[1:] - 1] = -1
+    prv[offsets[:-1]] = -1
+    nxt[n] = -1
+    return nxt, prv
+
+
+def _tally(values: np.ndarray) -> dict[int, int]:
+    """How often each value occurs in `values`; a short array skips the sort."""
+    if len(values) < 128:
+        return Counter(values.tolist())
+    uniq, counts = np.unique(values, return_counts=True)
+    return dict(zip(uniq.tolist(), counts.tolist()))
+
+
 def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list[TokenSeq]]:
     """Learn BPE merges by greedy highest-frequency pair merging, and return the
     vocabulary with each text's token ids under it.
@@ -131,110 +154,116 @@ def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list
     byte order of the merged pair (then of the left token), so retraining on
     identical input is byte-identical. Pairs never span document boundaries.
 
-    Each merge is applied to every occurrence, left to right, in the order
-    the merges are learned, so the linked list training ends with is each
-    text's `encode` under the learned vocabulary; the token ids are read off
-    it, one list per text (empty for an empty text).
+    The corpus is held in arrays indexed by position: each live position's
+    token id, next and previous links that skip merged-away positions and stop
+    at document bounds, and its pair key `left * K + right`, negative where no
+    pair starts. A merge finds every occurrence with one comparison over the
+    keys, rewrites ids and links with array operations, and recomputes only
+    the keys it touched; the exact pair counts follow from those keys' old and
+    new values. Dead positions are compacted away once they are the majority.
+    Each merge is applied to the whole corpus, left to right, as it is
+    learned, so the live positions end as each text's `encode` under the
+    learned vocabulary; the token ids are read off them, one list per text
+    (empty for an empty text).
     """
     if vocab_size <= FIRST_MERGED:
         raise DataFormatError(
             f"vocab_size must exceed {FIRST_MERGED} (256 bytes + {len(SPECIAL_NAMES)} specials), got {vocab_size}"
         )
-
-    # Flat corpus as a doubly linked list; links never cross document bounds.
-    ids: list[int] = []
-    nxt: list[int] = []
-    prv: list[int] = []
-    starts: list[int] = []  # each text's first node, -1 for an empty text
-    for text in texts:
-        data = _utf8(text)
-        if not data:
-            starts.append(-1)
-            continue
-        start = len(ids)
-        end = start + len(data)
-        starts.append(start)
-        ids.extend(data)
-        prv.append(-1)
-        prv.extend(range(start, end - 1))
-        nxt.extend(range(start + 1, end))
-        nxt.append(-1)
-    if not ids:
+    started = perf_counter()
+    data = [_utf8(text) for text in texts]
+    offsets = np.cumsum([0] + [len(d) for d in data])
+    n_bytes = live = int(offsets[-1])
+    if not live:
         raise DataFormatError("cannot train BPE on an empty corpus")
+
+    # Every merge removes a position, so ids stay below K and a pair key fits
+    # in int64 however large `vocab_size` is. The sentinel's id makes every
+    # key with it on the right negative, so a document's last position has
+    # no pair; a dead position's id is -1.
+    K = min(vocab_size, FIRST_MERGED + live)
+    ids = np.full(live + 1, -K * K, dtype=np.int64)
+    ids[:live] = np.frombuffer(b"".join(data), dtype=np.uint8)
+    nxt, prv = _links(offsets, live)
+    pk = np.maximum(ids, 0) * K + ids[nxt]  # clamped, the sentinel's own key is negative too
+    keys, counts = np.unique(pk[pk >= 0], return_counts=True)
+    count = dict(zip(keys.tolist(), counts.tolist()))
 
     # The table so far, for the tie-break on merged bytes.
     tokens = list(_BASE_TOKENS)
     merges: list[tuple[int, int]] = []
-    # The one pair table: occ[pair] is the set of left positions where `pair`
-    # occurs in the live linked list, and its size is the pair's count. Every
-    # set is exact, except the one being swept, which is popped first; a set
-    # the sweep leaves empty is deleted when the sweep ends.
-    occ: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
-    for i, j in enumerate(nxt):
-        if j != -1:
-            occ[ids[i], ids[j]].add(i)
 
-    # Lazy max-heap keyed by (-count, merged bytes, left bytes); stale entries
-    # are skipped when their recorded count no longer matches.
-    heap = [(-len(at), tokens[a] + tokens[b], tokens[a], (a, b))
-            for (a, b), at in occ.items() if len(at) >= MIN_PAIR_COUNT]
+    # Lazy max-heap keyed by (-count, merged bytes, left bytes, pair key);
+    # stale entries are skipped when their recorded count no longer matches.
+    def entry(key: int, c: int) -> tuple:
+        a, b = divmod(key, K)
+        return (-c, tokens[a] + tokens[b], tokens[a], key)
+
+    heap = [entry(key, c) for key, c in count.items() if c >= MIN_PAIR_COUNT]
     heapq.heapify(heap)
 
     while len(tokens) < vocab_size and heap:
-        negc, _, _, pair = heapq.heappop(heap)
-        if len(occ.get(pair, ())) != -negc:
+        negc, _, _, key = heapq.heappop(heap)
+        if count.get(key) != -negc:
             continue
-        a, b = pair
+        a, b = divmod(key, K)
         new_id = len(tokens)
         tokens.append(tokens[a] + tokens[b])
-        merges.append(pair)
-        # Pairs whose set changed during this merge's sweep; each is pushed
-        # once, with its final count, when the sweep ends.
-        touched: set[tuple[int, int]] = set()
+        merges.append((a, b))
 
-        # Ascending order gives the same greedy left-to-right semantics as
-        # encode(). The only occurrence to skip is one whose left node the
-        # occurrence merged just before it absorbed ("aaa" -> [aa, a]).
-        for i in sorted(occ.pop(pair)):
-            if ids[i] != a:
+        # Occurrences in ascending position, which is left to right. In a run
+        # of (a, a) pairs every other one merges, from the run's first
+        # ("aaa" -> [aa, a]); the rest are the ones absorbed.
+        i = np.flatnonzero(pk == key)
+        if a == b and len(i) > 1:
+            k = np.arange(len(i))
+            head = np.r_[True, prv[i[1:]] != i[:-1]]
+            i = i[(k - np.maximum.accumulate(np.where(head, k, 0))) % 2 == 0]
+        j = nxt[i]
+        n = nxt[j]
+        p = prv[i]
+        ids[i] = new_id
+        ids[j] = -1
+        # Left neighbours that survive; one absorbed by the merge before it is
+        # reached as that merged position.
+        p = p[ids[p] >= 0]
+        gone = pk[np.concatenate((j, p))]
+        nxt[i] = n
+        prv[n] = i
+        pk[j] = -1
+        pk[i] = new_id * K + ids[n]
+        pk[p] = ids[p] * K + new_id
+        live -= len(i)
+
+        # The swept pair is gone; every other touched pair moves by its new
+        # minus its old occurrences.
+        del count[key]
+        delta = _tally(pk[np.concatenate((i, p))])
+        for t, c in _tally(gone).items():
+            delta[t] = delta.get(t, 0) - c
+        for t, d in delta.items():
+            if t < 0 or t == key:
                 continue
-            j = nxt[i]
-            p, n = prv[i], nxt[j]
-            ids[i] = new_id
-            ids[j] = -1
-            nxt[i] = n
-            # Each neighbour's old pair loses its position, its new pair gains
-            # it. The right one's old pair can be the swept pair ("aaa"), whose
-            # set is out of the table, hence discard rather than remove.
-            if p != -1:
-                gone, made = (ids[p], a), (ids[p], new_id)
-                occ[gone].discard(p)
-                occ[made].add(p)
-                touched.add(gone)
-                touched.add(made)
-            if n != -1:
-                prv[n] = i
-                gone, made = (b, ids[n]), (new_id, ids[n])
-                occ[gone].discard(j)
-                occ[made].add(i)
-                touched.add(gone)
-                touched.add(made)
-        for t in touched:
-            c = len(occ[t])
-            if c >= MIN_PAIR_COUNT:
-                x, y = t
-                heapq.heappush(heap, (-c, tokens[x] + tokens[y], tokens[x], t))
-            elif not c:
-                del occ[t]
+            c = count.get(t, 0) + d
+            if c:
+                count[t] = c
+                if c >= MIN_PAIR_COUNT:
+                    heapq.heappush(heap, entry(t, c))
+            else:
+                del count[t]
 
-    streams: list[TokenSeq] = []
-    for i in starts:
-        seq = []
-        while i != -1:
-            seq.append(ids[i])
-            i = nxt[i]
-        streams.append(seq)
-    log.info(kv(event="bpe_trained", vocab_size=len(tokens), merges=len(merges)))
+        if 2 * live < len(ids):
+            kept = np.flatnonzero(ids != -1)  # the live positions and the sentinel
+            offsets = np.searchsorted(kept, offsets)
+            ids, pk = ids[kept], pk[kept]
+            nxt, prv = _links(offsets, live)
+
+    kept = np.flatnonzero(ids >= 0)
+    cuts = np.searchsorted(kept, offsets).tolist()
+    values = ids[kept].tolist()
+    streams = [values[s:e] for s, e in zip(cuts, cuts[1:])]
+    log.info(kv(event="bpe_trained", vocab_size=len(tokens), merges=len(merges),
+                bytes=n_bytes, seconds=perf_counter() - started))
     return Vocab(merges), streams
 
 

@@ -150,6 +150,32 @@ def test_trainer_matches_naive_reference_on_adversarial_runs():
         check_training(texts, int(rng.integers(262, 301)))
 
 
+def test_trainer_matches_naive_reference_on_seeded_small_alphabets():
+    # Runs of one or two letters overlap everywhere, so many merges are
+    # (a, a) runs and positions die fast enough to be compacted mid-training.
+    # Empty and one-byte documents sit between the others, and most
+    # vocabulary sizes stop training before the pairs run out.
+    rng = np.random.default_rng(25)
+    alphabets = ["a", "ab", "aab", "a b", "é a"]
+    for _ in range(500):
+        alphabet = list(alphabets[int(rng.integers(len(alphabets)))])
+        texts = ["".join(rng.choice(alphabet, int(rng.choice([0, 1, rng.integers(2, 48)]))))
+                 for _ in range(int(rng.integers(1, 7)))] + ["a"]
+        check_training(texts, int(rng.integers(262, 300)))
+
+
+def test_vocab_size_far_beyond_reach_trains_until_pairs_run_out():
+    # Every merge removes a position, so FIRST_MERGED + corpus bytes is more
+    # tokens than training can make. A larger size must change nothing, even
+    # where its square overflows int64.
+    texts = SMALL_CORPUS + ["a" * 40, "", "日本語 日本語"]
+    reach = FIRST_MERGED + sum(len(text.encode("utf-8")) for text in texts)
+    vocab, streams = check_training(texts, reach)
+    assert vocab.size < reach
+    for size in (10**12, 2**40):
+        assert train_and_encode(texts, size) == (vocab, streams)
+
+
 def test_trainer_streams_of_empty_texts_are_empty():
     _, streams = check_training(["", "the cat sat", "", "the cat sat", ""], 300)
     assert streams[0] == streams[2] == streams[4] == []
