@@ -14,6 +14,7 @@ for `load_corpus`, the UTF-8 bytes of the document texts for
 
     python scripts/scale_bpe.py                  # about 0.4, 1.5, 6 and 24 MB
     python scripts/scale_bpe.py --sizes 0.4      # the smallest only
+    python scripts/scale_bpe.py --sizes 1.5 6 --vocab-size 8192   # the CLI's default size
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from qtmine.tokenizer import train_and_encode  # noqa: E402
 
 # Mean UTF-8 bytes of one document's text in this shape (1-15 sentences).
 DOC_BYTES = 474
+SEED = 7
 
 
 def measure(fn, *args):
@@ -48,12 +50,12 @@ def measure(fn, *args):
     return out, seconds, peak
 
 
-def probe(root: Path, seed: int, size_mb: float, vocab_size: int) -> None:
+def probe(root: Path, size_mb: float, vocab_size: int) -> None:
     n_docs = max(1, round(size_mb * 1e6 / DOC_BYTES))
     shape = gen.Size(n_docs=n_docs, max_sentences=15, n_drugs=30, n_effective=10,
                      n_negative=10, n_lexicon=3000, n_analogies=0, n_passages=0,
                      passage_sentences=0)
-    gen.write_inputs(root, seed, shape, {"vocab_size": vocab_size})
+    gen.write_inputs(root, SEED, shape, {"vocab_size": vocab_size})
     path = root / "corpus.jsonl"
     docs, load_s, load_peak = measure(load_corpus, path)
     texts = [doc.text() for doc in docs.documents]
@@ -70,15 +72,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", type=float, nargs="+", default=[0.4, 1.5, 6.0, 24.0],
                     help="corpus sizes in MB (default: 0.4 1.5 6 24)")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--vocab-size", type=int, default=4096)
-    ap.add_argument("--workdir", type=Path,
-                    help="where the corpora are written (default: a temporary directory)")
+    ap.add_argument("--vocab-size", type=int, default=4096,
+                    help="the vocabulary size train_and_encode is given (default: 4096)")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = args.workdir or Path(tmp)
         for size_mb in args.sizes:
-            probe(workdir / f"{size_mb:g}mb", args.seed, size_mb, args.vocab_size)
+            probe(Path(tmp) / f"{size_mb:g}mb", size_mb, args.vocab_size)
 
 
 if __name__ == "__main__":
