@@ -181,21 +181,19 @@ def cmd_kshot(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _score_query(args, label: str, template: str, drug: str | None, target_phrase: str,
-                 **score_kw) -> int:
+def _score_query(args, label: str, template: str, drug: str | None, target_phrase: str) -> int:
     """The one single-query path of `qt`, `combine` and `side-effects`: load
     the model, render the template with `drug`, score it against the target
     phrase with `qt_score`, and print the score's line under `label`."""
     vocab, params = _load_model(args)
     query = Q.QuerySpec.render(vocab, template, drug=drug)
     target = Q.TargetSpec.from_phrase(vocab, target_phrase)
-    _print_score(label, Q.qt_score(params, query, target, **score_kw))
+    _print_score(label, Q.qt_score(params, query, target))
     return 0
 
 
 def cmd_qt(args, cfg: RunConfig) -> int:
-    return _score_query(args, "qt", args.query, args.drug, cfg.target,
-                        agg=args.agg, mode=args.mode)
+    return _score_query(args, "qt", args.query, args.drug, cfg.target)
 
 
 def cmd_rank(args, cfg: RunConfig) -> int:
@@ -337,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="template text with <mask> markers")
     p.add_argument("--drug", help="substituted into a {drug} slot if present")
     p.add_argument("--target", help="target phrase")
-    p.add_argument("--agg", choices=("mean", "geomean"), default="mean")
-    p.add_argument("--mode", choices=("mass", "conditional"), default="mass")
 
     p = sub.add_parser("rank", help="rank trialed drugs by query-target score")
     _add_model_flags(p)

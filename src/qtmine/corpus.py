@@ -172,13 +172,14 @@ def filter_by_year(docs: DocumentSet, cutoff: int) -> DocumentSet:
 
 
 def load_aliases(path: str | Path) -> AliasMap:
-    rows = _read_csv(path, ("trade_name", "scientific_name"))
     pairs = {}
-    for row in rows:
+    for lineno, row in _read_csv(path, ("trade_name", "scientific_name")):
         trade = row["trade_name"].strip().lower()
         sci = row["scientific_name"].strip().lower()
-        if trade and sci:
-            pairs[trade] = sci
+        if not (trade and sci):
+            log.warning(kv(event="alias_skipped", line=lineno, reason="empty_name"))
+            continue
+        pairs[trade] = sci
     aliases = AliasMap(pairs)
     aliases.validate()
     return aliases
@@ -188,7 +189,7 @@ def load_trials(path: str | Path, aliases: AliasMap | None = None) -> list[Trial
     """Load trial rows; drug names are lower-cased, alias-collapsed, de-duplicated."""
     aliases = aliases if aliases is not None else AliasMap()
     records: list[TrialRecord] = []
-    for lineno, row in enumerate(_read_csv(path, ("trial_id", "year", "drugs", "condition")), start=2):
+    for lineno, row in _read_csv(path, ("trial_id", "year", "drugs", "condition")):
         year = _row_year(row["year"], "trial_skipped", lineno)
         if year is None:
             continue
@@ -221,7 +222,7 @@ def candidates_at_year(trials: list[TrialRecord], year: int) -> list[str]:
 def load_approvals(path: str | Path, aliases: AliasMap | None = None) -> list[ApprovalRecord]:
     aliases = aliases if aliases is not None else AliasMap()
     records = []
-    for lineno, row in enumerate(_read_csv(path, ("drug", "approval_year")), start=2):
+    for lineno, row in _read_csv(path, ("drug", "approval_year")):
         year = _row_year(row["approval_year"], "approval_skipped", lineno)
         if year is None:
             continue
@@ -230,6 +231,7 @@ def load_approvals(path: str | Path, aliases: AliasMap | None = None) -> list[Ap
             log.warning(kv(event="approval_skipped", line=lineno, reason="empty_drug"))
             continue
         records.append(ApprovalRecord(drug=drug, approval_year=year))
+    log.info(kv(event="approvals_loaded", path=path, records=len(records)))
     return records
 
 
@@ -281,14 +283,16 @@ def group_by_category(items: list[AnalogyItem]) -> dict[tuple[str, str], list[An
     return groups
 
 
-def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[dict[str, str]]:
+def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """Each row with the number of the line it ends on, so a quoted field that
+    spans lines does not shift the numbers of the rows after it."""
     reader = csv.DictReader(io.StringIO(read_text(path, "CSV file"), newline=""))
     try:
         header = reader.fieldnames or []
         for column in required:
             if column not in header:
                 raise DataFormatError(f"{path}: missing required column {column!r}")
-        return [{k: (v or "") for k, v in row.items()} for row in reader]
+        return [(reader.line_num, {k: (v or "") for k, v in row.items()}) for row in reader]
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         # DictReader.line_num still counts the last good row; its reader's counts this one.
         raise DataFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None

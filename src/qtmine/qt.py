@@ -182,46 +182,16 @@ def topk_tokens(probs: np.ndarray, vocab: Vocab, k: int,
     return [(int(allowed[i]), vocab.token_text(int(allowed[i])), float(p[i])) for i in order]
 
 
-def _aggregate(per_position: Sequence[float], agg: str) -> float:
-    if agg == "mean":
-        return float(np.mean(per_position))
-    if agg == "geomean":
-        if any(s <= 0.0 for s in per_position):
-            return 0.0
-        return float(np.exp(np.mean(np.log(per_position))))
-    raise EvalError(f"unknown aggregation {agg!r} (expected 'mean' or 'geomean')")
+def score_probs(probs: Sequence[np.ndarray], target: TargetSpec) -> QtScore:
+    """Score a query's masked-position probability rows against a target set:
+    per position, the target set's probability mass; overall, their mean."""
+    per = [target_mass(p, target) for p in probs]
+    return QtScore(per_position=tuple(per), aggregate=float(np.mean(per)))
 
 
-def score_probs(probs: Sequence[np.ndarray], target: TargetSpec,
-                agg: str = "mean", mode: str = "mass") -> QtScore:
-    """Score a query's masked-position probability rows against a target set.
-
-    mode="mass" (default): per position, the probability mass of the target
-    set. mode="conditional": position k is paired with target id k and scored
-    as P_k[y_k] renormalized over the target set; this stricter reading
-    requires as many masked positions as target ids.
-    """
-    if mode == "mass":
-        per = [target_mass(p, target) for p in probs]
-    elif mode == "conditional":
-        if len(probs) != len(target.ids):
-            raise EvalError(
-                f"conditional mode pairs positions with target ids: "
-                f"{len(probs)} masks vs {len(target.ids)} targets"
-            )
-        per = []
-        for k, p in enumerate(probs):
-            denom = target_mass(p, target)
-            per.append(float(p[target.ids[k]] / denom) if denom > 0.0 else 0.0)
-    else:
-        raise EvalError(f"unknown mode {mode!r} (expected 'mass' or 'conditional')")
-    return QtScore(per_position=tuple(per), aggregate=_aggregate(per, agg))
-
-
-def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec,
-             agg: str = "mean", mode: str = "mass") -> QtScore:
-    """Score one query against a target set; see `score_probs` for the modes."""
-    return score_probs(mlm_predict(params, query), target, agg=agg, mode=mode)
+def qt_score(params: M.Params, query: QuerySpec, target: TargetSpec) -> QtScore:
+    """Score one query against a target set; see `score_probs`."""
+    return score_probs(mlm_predict(params, query), target)
 
 
 def rank_by_qt(params: M.Params, vocab: Vocab, candidates: Sequence[str],

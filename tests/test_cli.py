@@ -252,10 +252,21 @@ def test_build_parser_routes_subcommands():
                               "--checkpoint", "m"])
     assert args.command == "qt"
     assert args.query == "x <mask>"
-    assert args.agg == "mean" and args.mode == "mass"
 
     args = parser.parse_args(["kshot", "--k", "2", "--steps", "9"])
     assert (args.k, args.steps) == (2, 9)
+
+
+@pytest.mark.parametrize("flag", [("--agg", "geomean"), ("--mode", "conditional")])
+def test_qt_has_one_scoring_rule_and_no_flag_for_another(flag, capsys):
+    """`qt` scores the mean target mass only: a scoring-rule flag is a usage
+    error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["qt", "--query", "x <mask>", "--vocab", "v", "--checkpoint", "m", *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
 
 
 def _setting_flag_cases():
@@ -460,8 +471,7 @@ def test_qt_command_prints_scores(ws, capsys):
 def test_qt_command_substitutes_drug_slot(ws, capsys):
     rc = main(["--config", ws["config"], "qt", *model_args(ws),
                "--query", "in trials, {drug} demonstrated <mask>.",
-               "--drug", "tamivir", "--target", "efficacy",
-               "--agg", "geomean", "--mode", "mass"])
+               "--drug", "tamivir", "--target", "efficacy"])
     assert rc == 0
     assert "qt aggregate=" in capsys.readouterr().out
 

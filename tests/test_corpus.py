@@ -2,6 +2,8 @@
 collapsing, year filtering, and the hash-based train/test split."""
 
 import json
+import logging
+import re
 
 import pytest
 
@@ -20,6 +22,7 @@ from qtmine.corpus import (
     load_trials,
 )
 from qtmine.errors import DataFormatError
+from qtmine.util import setup_logging
 
 
 def write_jsonl(path, objs):
@@ -216,11 +219,13 @@ def test_alias_map_rejects_chains():
     AliasMap({"a": "b", "x": "b"}).validate()  # shared target is fine
 
 
-def test_load_aliases(tmp_path):
+def test_load_aliases(tmp_path, qtmine_log):
     path = write_csv(tmp_path / "a.csv", "trade_name,scientific_name",
-                     ["Tamiflu,Oseltamivir", "Relenza,zanamivir", ",skipped"])
+                     ["Tamiflu,Oseltamivir", "Relenza,zanamivir", ",skipped", "Xofluza, "])
     aliases = load_aliases(path)
     assert aliases.pairs == {"tamiflu": "oseltamivir", "relenza": "zanamivir"}
+    assert qtmine_log == ["event=alias_skipped line=4 reason=empty_name",
+                          "event=alias_skipped line=5 reason=empty_name"]
 
 
 @pytest.mark.parametrize("loader,header", [
@@ -287,6 +292,30 @@ def test_load_trials_skips_a_year_out_of_range(tmp_path, qtmine_log):
     assert [(t.trial_id, t.year) for t in load_trials(path)] == [("T3", 1900), ("T4", 2100)]
     assert qtmine_log == ["event=trial_skipped line=2 reason=year_out_of_range value=20100",
                           "event=trial_skipped line=3 reason=year_out_of_range value=1899"]
+
+
+def test_csv_skip_warnings_name_the_file_line_not_the_record_count(tmp_path, qtmine_log):
+    # T1's quoted condition spans lines 2-3, and line 5 is blank.
+    path = write_csv(tmp_path / "t.csv", "trial_id,year,drugs,condition",
+                     ['T1,2005,drugx,"two-line\ncondition"', "T2,20100,drugy,flu", "", "T3,2006,,flu"])
+    assert [t.trial_id for t in load_trials(path)] == ["T1"]
+    assert qtmine_log == ["event=trial_skipped line=4 reason=year_out_of_range value=20100",
+                          "event=trial_skipped line=6 reason=empty_drugs"]
+
+
+def test_trials_and_approvals_log_the_records_they_loaded(tmp_path, capsys):
+    trials = write_csv(tmp_path / "t.csv", "trial_id,year,drugs,condition",
+                       ["T1,2005,drugx,flu", "T2,bad,drugy,flu"])
+    approvals = write_csv(tmp_path / "ap.csv", "drug,approval_year", ["drugx,2009", ",2010"])
+    setup_logging()
+    try:
+        load_trials(trials)
+        load_approvals(approvals)
+    finally:
+        logging.getLogger("qtmine").handlers.clear()
+    err = capsys.readouterr().err
+    assert re.search(r"INFO event=trials_loaded path=\S+t\.csv records=1$", err, re.M), err
+    assert re.search(r"INFO event=approvals_loaded path=\S+ap\.csv records=1$", err, re.M), err
 
 
 def test_load_approvals_skips_a_year_out_of_range_and_an_empty_drug(tmp_path, qtmine_log):

@@ -171,6 +171,7 @@ def test_singleton_target_equals_mlm_probability(tiny_setup):
         score = qt_score(params, q, TargetSpec.from_ids(vocab, [tid]))
         for k, p in enumerate(probs):
             assert score.per_position[k] == float(p[tid])
+        assert score.aggregate == pytest.approx(np.mean(probs[:, tid]), rel=1e-12)
 
 
 def test_full_target_equals_total_non_special_mass(tiny_setup):
@@ -200,35 +201,6 @@ def test_target_growth_is_monotone(tiny_setup):
         assert b.aggregate >= s.aggregate - 1e-12
         for ps, pb in zip(s.per_position, b.per_position):
             assert pb >= ps - 1e-12
-
-
-def test_conditional_mode(tiny_setup):
-    vocab, params = tiny_setup
-    q = QuerySpec.render(vocab, "dose <mask> <mask> response")
-    t = TargetSpec.from_ids(vocab, [ord("a"), ord("b")])
-    probs = mlm_predict(params, q)
-    score = qt_score(params, q, t, mode="conditional")
-    for k, p in enumerate(probs):
-        denom = p[ord("a")] + p[ord("b")]
-        expect = p[t.ids[k]] / denom
-        assert score.per_position[k] == pytest.approx(float(expect), rel=1e-12)
-    with pytest.raises(EvalError):
-        qt_score(params, q, TargetSpec.from_ids(vocab, [ord("a")]), mode="conditional")
-
-
-def test_aggregations(tiny_setup):
-    vocab, params = tiny_setup
-    q = QuerySpec.render(vocab, "a <mask> b <mask> c")
-    t = TargetSpec.from_phrase(vocab, "trials")
-    mean_score = qt_score(params, q, t, agg="mean")
-    geo_score = qt_score(params, q, t, agg="geomean")
-    per = np.array(mean_score.per_position)
-    assert mean_score.aggregate == pytest.approx(per.mean(), rel=1e-12)
-    assert geo_score.aggregate == pytest.approx(np.exp(np.mean(np.log(per))), rel=1e-12)
-    with pytest.raises(EvalError):
-        qt_score(params, q, t, agg="median")
-    with pytest.raises(EvalError):
-        qt_score(params, q, t, mode="joint")
 
 
 # ---------------------------------------------------------------------------
