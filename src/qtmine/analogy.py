@@ -9,7 +9,7 @@ correct at top-k iff the gold token is in the model's top-k at every masked
 position.
 
 Few-shot support: sample k completed analogy sentences per category, fine-tune
-on them, and evaluate with those item ids excluded.
+on them, and evaluate the base and the tuned model with those item ids excluded.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import model as M
-from .corpus import AnalogyItem, group_by_category
+from .corpus import AnalogyItem
 from .errors import EvalError
 from .qt import QuerySpec, masked_span_query, predict_queries
 from .tokenizer import Vocab
@@ -128,7 +128,9 @@ def sample_kshot(items: Sequence[AnalogyItem], k: int,
     rng = np.random.default_rng(seed)
     sentences: list[str] = []
     ids: list[str] = []
-    grouped = group_by_category(items)
+    grouped: dict[str, list[AnalogyItem]] = {}
+    for item in items:
+        grouped.setdefault(item.category, []).append(item)
     for cat in sorted(grouped):
         members = grouped[cat]
         take = min(k, len(members))
@@ -137,30 +139,6 @@ def sample_kshot(items: Sequence[AnalogyItem], k: int,
             sentences.append(analogy_sentence(item))
             ids.append(item.item_id)
     return sentences, ids
-
-
-@dataclass(frozen=True)
-class KshotComparison:
-    before: AnalogyReport
-    after: AnalogyReport
-    delta_top1: Mapping[str, float]   # per category, after - before
-    delta_top5: Mapping[str, float]
-    subcategory_delta_top1: Mapping[str, float]
-    subcategory_delta_top5: Mapping[str, float]
-
-
-def compare_kshot(params_before: M.Params, params_after: M.Params, vocab: Vocab,
-                  items: Sequence[AnalogyItem], exclude: Iterable[str] = ()) -> KshotComparison:
-    """Evaluate both models on the same items/exclusions and report deltas."""
-    excluded = frozenset(exclude)
-    before = eval_analogies(params_before, vocab, items, excluded)
-    after = eval_analogies(params_after, vocab, items, excluded)
-    d1 = {r.category: after.category(r.category).top1 - r.top1 for r in before.categories}
-    d5 = {r.category: after.category(r.category).top5 - r.top5 for r in before.categories}
-    sd1 = {s: after.subcategories[s].top1 - r.top1 for s, r in before.subcategories.items()}
-    sd5 = {s: after.subcategories[s].top5 - r.top5 for s, r in before.subcategories.items()}
-    return KshotComparison(before=before, after=after, delta_top1=d1, delta_top5=d5,
-                           subcategory_delta_top1=sd1, subcategory_delta_top5=sd5)
 
 
 def write_report_csv(report: AnalogyReport, path: str | Path) -> None:

@@ -163,17 +163,19 @@ def cmd_kshot(args, cfg: RunConfig) -> int:
     tuned = T.kshot_finetune(params, vocab, sentences,
                              seed=np.random.SeedSequence([cfg.seed, 1]),
                              cfg=train_cfg, n_steps=args.steps)
-    comparison = A.compare_kshot(params, tuned, vocab, items, excluded)
-    for sub in sorted(comparison.subcategory_delta_top1):
-        print(f"subcategory={sub} "
-              f"delta_top1={comparison.subcategory_delta_top1[sub]:+.6f} "
-              f"delta_top5={comparison.subcategory_delta_top5[sub]:+.6f}")
+    before = A.eval_analogies(params, vocab, items, excluded)
+    after = A.eval_analogies(tuned, vocab, items, excluded)
+    for sub, b in before.subcategories.items():
+        a = after.subcategories[sub]
+        print(f"subcategory={sub} delta_top1={a.top1 - b.top1:+.6f} "
+              f"delta_top5={a.top5 - b.top5:+.6f}")
     if args.out_json:
+        rows = list(zip(before.categories, after.categories))  # the same items, so rows pair up
         payload = {
-            "before": A.report_summary(comparison.before),
-            "after": A.report_summary(comparison.after),
-            "delta_top1": dict(comparison.delta_top1),
-            "delta_top5": dict(comparison.delta_top5),
+            "before": A.report_summary(before),
+            "after": A.report_summary(after),
+            "delta_top1": {b.category: a.top1 - b.top1 for b, a in rows},
+            "delta_top5": {b.category: a.top5 - b.top5 for b, a in rows},
         }
         write_atomic(args.out_json, json.dumps(payload, indent=2).encode("utf-8"))
     if args.out:
@@ -224,8 +226,7 @@ def cmd_fc(args, cfg: RunConfig) -> int:
     aliases = _load_aliases(cfg)
     trials = load_trials(_require(cfg.trials, "trials"), aliases)
     approvals = load_approvals(_require(cfg.approvals, "approvals"), aliases)
-    outdir = args.outdir or str(Path(cfg.output_dir) / "fc")
-    _, metrics = F.fc_analysis(
+    runs, metrics = F.fc_analysis(
         docset, trials, approvals, years,
         vocab_size=cfg.vocab_size,
         model_dims=cfg.model_dims(),
@@ -233,8 +234,8 @@ def cmd_fc(args, cfg: RunConfig) -> int:
         base_seed=cfg.seed,
         template=cfg.template,
         target_phrase=cfg.target,
-        outdir=outdir,
     )
+    F.write_fc_outputs(runs, metrics, args.outdir or Path(cfg.output_dir) / "fc")
     print(f"fc years_scored={metrics.n_scored_years} "
           + " ".join(f"hits@{k}={v:.6f}" for k, v in metrics.mean_hits.items())
           + f" mrr={metrics.mean_mrr:.6f} retrained=true")

@@ -7,7 +7,7 @@ File formats:
   trials     CSV header trial_id,year,drugs,condition; drugs semicolon-separated
   aliases    CSV header trade_name,scientific_name
   approvals  CSV header drug,approval_year
-  analogies  TSV columns category, subcategory, a, b, c, d
+  analogies  TSV columns category, subcategory, a, b, c, d; one subcategory per category
 """
 
 from __future__ import annotations
@@ -254,6 +254,7 @@ def load_analogies(path: str | Path) -> list[AnalogyItem]:
     text = read_text(path, "analogies file")
     items: list[AnalogyItem] = []
     per_category: dict[str, int] = {}
+    subcategory_of: dict[str, str] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         line = line.rstrip("\r\n")
         if not line:
@@ -268,19 +269,15 @@ def load_analogies(path: str | Path) -> list[AnalogyItem]:
             )
         if not all((a, b, c, d)):
             raise DataFormatError(f"{path}:{lineno}: analogy terms must be nonempty")
+        if subcategory_of.setdefault(category, subcategory) != subcategory:
+            raise DataFormatError(f"{path}:{lineno}: category {category!r} is under subcategory "
+                                  f"{subcategory_of[category]!r}, got {subcategory!r}")
         ordinal = per_category.get(category, 0)
         per_category[category] = ordinal + 1
         items.append(AnalogyItem(f"{category}#{ordinal}", category, subcategory, a, b, c, d))
     for category, count in per_category.items():
         log.info(kv(event="analogy_category", category=category, items=count))
     return items
-
-
-def group_by_category(items: list[AnalogyItem]) -> dict[tuple[str, str], list[AnalogyItem]]:
-    groups: dict[tuple[str, str], list[AnalogyItem]] = {}
-    for item in items:
-        groups.setdefault((item.category, item.subcategory), []).append(item)
-    return groups
 
 
 def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:

@@ -5,7 +5,8 @@ the documents published up to that year, candidates are taken from trials
 registered up to that year, and the ranking is scored against approvals that
 happened strictly afterwards. Nothing dated after the cutoff can influence a
 run: undated documents are excluded, and the per-cutoff seed is derived from
-(base_seed, cutoff) so reruns are bit-identical.
+(base_seed, cutoff) so reruns are bit-identical. `fc_analysis` returns the runs
+and their metrics; `write_fc_outputs` writes them.
 """
 
 from __future__ import annotations
@@ -124,10 +125,9 @@ def fc_analysis(
     base_seed: int,
     template: str = DEFAULT_RANK_TEMPLATE,
     target_phrase: str = DEFAULT_TARGET_PHRASE,
-    outdir: str | Path | None = None,
 ) -> tuple[list[FcRun], FcMetrics]:
     """Run the year-by-year analysis, training one model per scored cutoff, and
-    aggregate the metrics."""
+    return the runs with their aggregate metrics; it writes no file."""
     if list(years) != sorted(set(years)):
         raise EvalError("cutoff years must be strictly ascending")
     if not years:
@@ -156,10 +156,7 @@ def fc_analysis(
         logger.info(kv(event="fc_run", cutoff=cutoff, candidates=len(candidates),
                        top=ranked[0].candidate if ranked else ""))
 
-    metrics = score_runs(runs)
-    if outdir is not None:
-        write_fc_outputs(runs, metrics, outdir)
-    return runs, metrics
+    return runs, score_runs(runs)
 
 
 def rank_rows(ranked: Sequence[RankedItem]) -> list[list]:

@@ -42,7 +42,6 @@ class SentenceScore:
 class HighlightDoc:
     sentences: tuple[SentenceScore, ...]
     target_term: str
-    template: str
 
 
 def split_sentences(passage: str) -> list[tuple[int, int]]:
@@ -102,7 +101,7 @@ def highlight_passage(params: M.Params, vocab: Vocab, passage: str, target_term:
         SentenceScore(text=passage[s:e], start=s, end=e, score=score)
         for (s, e), score in zip(spans, norm)
     )
-    return HighlightDoc(sentences=sentences, target_term=target_term, template=template)
+    return HighlightDoc(sentences=sentences, target_term=target_term)
 
 
 def ansi_bucket(score: float) -> int:

@@ -79,7 +79,7 @@ import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it here, not in the first training request
 
 from .errors import CheckpointError, DataFormatError, QtmineError
-from .util import write_atomic
+from .util import read_text, write_atomic
 
 LN_EPS = 1e-5
 # Standard deviation of the truncated normal that initialises every matrix.
@@ -744,7 +744,9 @@ def load_checkpoint(path: str | Path) -> Params:
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        sidecar = json.loads(read_text(sidecar_path, "checkpoint sidecar"))
+        if sidecar["format_version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported sidecar format_version {sidecar['format_version']!r}")
         config = ModelConfig(**sidecar["model"])
         declared = [(t["name"], tuple(t["shape"])) for t in sidecar["tensors"]]
         raw = path.read_bytes()

@@ -299,10 +299,10 @@ def test_forward_chaining_ignores_post_cutoff_documents(tmp_path):
         base_seed=0,
     )
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    runs_a, _ = F.fc_analysis(base, trials, approvals, [2001, 2002],
-                              outdir=dir_a, **kwargs)
-    runs_b, _ = F.fc_analysis(injected, trials, approvals, [2001, 2002],
-                              outdir=dir_b, **kwargs)
+    runs_a, metrics_a = F.fc_analysis(base, trials, approvals, [2001, 2002], **kwargs)
+    runs_b, metrics_b = F.fc_analysis(injected, trials, approvals, [2001, 2002], **kwargs)
+    F.write_fc_outputs(runs_a, metrics_a, dir_a)
+    F.write_fc_outputs(runs_b, metrics_b, dir_b)
 
     runs_equal = runs_a == runs_b
     files_equal = all(

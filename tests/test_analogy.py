@@ -15,7 +15,6 @@ from qtmine.analogy import (
     AnalogyReport,
     _item_correct,
     analogy_sentence,
-    compare_kshot,
     eval_analogies,
     render_analogy,
     report_summary,
@@ -181,21 +180,6 @@ def test_sample_kshot_contract():
     assert len(all_ids) == len(items)
     with pytest.raises(EvalError):
         sample_kshot(items, k=0, seed=0)
-
-
-def test_compare_kshot_reports_deltas(tiny_setup):
-    vocab, params = tiny_setup
-    other = params.copy()
-    other.emb[:] += np.float32(0.01)
-    items = make_items()
-    cmp = compare_kshot(params, other, vocab, items)
-    for row in cmp.before.categories:
-        after_row = cmp.after.category(row.category)
-        assert cmp.delta_top1[row.category] == pytest.approx(after_row.top1 - row.top1)
-        assert cmp.delta_top5[row.category] == pytest.approx(after_row.top5 - row.top5)
-    for sub, row in cmp.before.subcategories.items():
-        assert cmp.subcategory_delta_top5[sub] == pytest.approx(
-            cmp.after.subcategories[sub].top5 - row.top5)
 
 
 def test_report_round_trips(tiny_setup, tmp_path):

@@ -574,6 +574,32 @@ def test_kshot_command(ws, tmp_path, capsys):
     assert set(payload) == {"before", "after", "delta_top1", "delta_top5"}
 
 
+def test_kshot_deltas_are_after_minus_before(ws, tmp_path, capsys):
+    """Each row is in the file twice, so the k=2 draw trains on the items it
+    leaves for evaluation and the deltas are not all zero."""
+    twins = tmp_path / "twins.tsv"
+    twins.write_text("".join("\t".join(row) + "\n" for row in ANALOGY_ROWS for _ in range(2)),
+                     encoding="utf-8")
+    out_json = tmp_path / "kshot.json"
+    rc = main(["--config", ws["config"], "--analogies", str(twins), "kshot", *model_args(ws),
+               "--k", "2", "--steps", "300", "--lr", "0.01", "--out-json", str(out_json)])
+    assert rc == 0
+    payload = json.loads(out_json.read_text(encoding="utf-8"))
+    before, after = payload["before"], payload["after"]
+    subs = before["subcategories"]
+    assert list(subs) == ["antiviral", "grammar"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"subcategory={sub} "
+        f"delta_top1={after['subcategories'][sub]['top1'] - subs[sub]['top1']:+.6f} "
+        f"delta_top5={after['subcategories'][sub]['top5'] - subs[sub]['top5']:+.6f}"
+        for sub in subs]
+    assert [r["category"] for r in after["categories"]] == [r["category"] for r in before["categories"]]
+    for key in ("top1", "top5"):
+        assert payload[f"delta_{key}"] == {
+            b["category"]: a[key] - b[key] for b, a in zip(before["categories"], after["categories"])}
+    assert any(payload["delta_top1"].values()) and any(payload["delta_top5"].values())
+
+
 def test_mine_command(ws, capsys):
     rc = main(["--config", ws["config"], "mine", *model_args(ws),
                "--q-term", "tamivir", "--t-term", "efficacy", "--k", "3"])

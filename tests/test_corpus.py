@@ -14,7 +14,6 @@ from qtmine.corpus import (
     TrialRecord,
     candidates_at_year,
     filter_by_year,
-    group_by_category,
     load_aliases,
     load_analogies,
     load_approvals,
@@ -346,9 +345,19 @@ def test_load_analogies_assigns_per_category_ids(tmp_path):
     assert [it.item_id for it in items] == ["opposites#0", "drug-inhibition#0", "opposites#1"]
     assert items[0].subcategory == "grammar"
     assert items[1].d == "d"
-    groups = group_by_category(items)
-    assert set(groups) == {("opposites", "grammar"), ("drug-inhibition", "antiviral")}
-    assert len(groups[("opposites", "grammar")]) == 2
+
+
+def test_load_analogies_rejects_a_category_under_a_second_subcategory(tmp_path):
+    path = tmp_path / "an.tsv"
+    path.write_text(
+        "opp\tgrammar\tgood\tbad\thot\tcold\n"
+        "opp\tantiviral\ta\tb\tc\td\n"
+        "opp\tantiviral\te\tf\tg\th\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError, match=r"an\.tsv:2: category 'opp' is under subcategory "
+                                              r"'grammar', got 'antiviral'"):
+        load_analogies(path)
 
 
 @pytest.mark.parametrize("line", [

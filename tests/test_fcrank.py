@@ -180,8 +180,8 @@ def test_train_at_cutoff_matches_the_two_pass_reference(fc_docs, monkeypatch):
 def test_fc_analysis_structure_and_aggregation(fc_docs, tmp_path):
     years = [2001, 2002]
     runs, metrics = fc_analysis(fc_docs, TRIALS, APPROVALS, years, vocab_size=FC_VOCAB,
-                                model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=7,
-                                outdir=tmp_path / "out")
+                                model_dims=MODEL_DIMS, train_cfg=FC_TRAIN, base_seed=7)
+    write_fc_outputs(runs, metrics, tmp_path / "out")
     assert [r.cutoff_year for r in runs] == years
     for run in runs:
         assert list(run.candidates) == candidates_at_year(TRIALS, run.cutoff_year)
@@ -221,8 +221,10 @@ def test_fc_analysis_structure_and_aggregation(fc_docs, tmp_path):
 def test_fc_analysis_is_bit_reproducible(fc_docs, tmp_path):
     kwargs = dict(vocab_size=FC_VOCAB, model_dims=MODEL_DIMS, train_cfg=FC_TRAIN,
                   base_seed=3)
-    runs_a, _ = fc_analysis(fc_docs, TRIALS, APPROVALS, [2001], outdir=tmp_path / "a", **kwargs)
-    runs_b, _ = fc_analysis(fc_docs, TRIALS, APPROVALS, [2001], outdir=tmp_path / "b", **kwargs)
+    runs_a, metrics_a = fc_analysis(fc_docs, TRIALS, APPROVALS, [2001], **kwargs)
+    runs_b, metrics_b = fc_analysis(fc_docs, TRIALS, APPROVALS, [2001], **kwargs)
+    write_fc_outputs(runs_a, metrics_a, tmp_path / "a")
+    write_fc_outputs(runs_b, metrics_b, tmp_path / "b")
     assert runs_a == runs_b  # includes exact float score equality
     for name in ("rank_2001.csv", "fc_plot.csv", "fc_metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -742,6 +742,28 @@ def test_checkpoint_with_float_dimension_is_a_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_sidecar_with_a_bom_loads_the_same_weights(tmp_path):
+    p = init_params(TINY, seed=13)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(p, path)
+    sidecar = tmp_path / "model.ckpt.json"
+    sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
+    for (name, got), (_, want) in zip(load_checkpoint(path).named_tensors(), p.named_tensors()):
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("version", [99, 0, "1", None])
+def test_checkpoint_sidecar_of_another_format_version_is_a_checkpoint_error(tmp_path, version):
+    import json
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=13), path)
+    sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+    sidecar["format_version"] = version
+    (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+    with pytest.raises(CheckpointError, match="format_version"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("cut", [1, 3, 4])
 def test_checkpoint_cut_mid_float_is_a_checkpoint_error(tmp_path, cut):
     path = tmp_path / "model.ckpt"
