@@ -46,12 +46,6 @@ class AnalogyReport:
     subcategories: Mapping[str, CategoryResult]  # item-weighted over member categories
     excluded: tuple[str, ...]
 
-    def category(self, name: str) -> CategoryResult:
-        for row in self.categories:
-            if row.category == name:
-                return row
-        raise KeyError(name)
-
 
 def analogy_sentence(item: AnalogyItem) -> str:
     """The completed, lower-cased analogy as one sentence."""
@@ -85,21 +79,25 @@ def eval_analogies(params: M.Params, vocab: Vocab, items: Sequence[AnalogyItem],
     """Per-category and per-subcategory top-1/top-5 accuracy.
 
     Items whose ids are in `exclude` (e.g. few-shot training items) are
-    dropped before evaluation; accuracies are independent of item order.
+    dropped before evaluation; accuracies are independent of item order. A
+    category lies under one subcategory, as `load_analogies` requires of a file.
     """
     excluded = frozenset(exclude)
     kept = [it for it in items if it.item_id not in excluded]
     if not kept:
         raise EvalError("no analogy items left after exclusion")
+    subcat_of: dict[str, str] = {}
+    for it in kept:
+        if subcat_of.setdefault(it.category, it.subcategory) != it.subcategory:
+            raise EvalError(f"item {it.item_id}: category {it.category!r} is under subcategory "
+                            f"{subcat_of[it.category]!r}, got {it.subcategory!r}")
 
     queries, golds = zip(*(render_analogy(vocab, it) for it in kept))
     results = [_item_correct(probs, gold, vocab)
                for probs, gold in zip(predict_queries(params, queries), golds)]
     per_cat: dict[str, list[tuple[bool, bool]]] = {}
-    subcat_of: dict[str, str] = {}
     for item, res in zip(kept, results):
         per_cat.setdefault(item.category, []).append(res)
-        subcat_of[item.category] = item.subcategory
 
     def result(name: str, sub: str, hits: list[tuple[bool, bool]]) -> CategoryResult:
         n = len(hits)

@@ -62,9 +62,8 @@ def _load_model(args) -> tuple:
     vocab = load_vocab(_require(args.vocab, "--vocab"))
     params = M.load_checkpoint(_require(args.checkpoint, "--checkpoint"))
     if params.config.vocab_size != vocab.size:
-        raise DataFormatError(
-            f"checkpoint vocab_size {params.config.vocab_size} != vocabulary size {vocab.size}"
-        )
+        raise DataFormatError(f"checkpoint {args.checkpoint}: vocab_size {params.config.vocab_size} "
+                              f"!= vocabulary size {vocab.size} of {args.vocab}")
     return vocab, params
 
 
@@ -236,7 +235,7 @@ def cmd_fc(args, cfg: RunConfig) -> int:
         target_phrase=cfg.target,
     )
     F.write_fc_outputs(runs, metrics, args.outdir or Path(cfg.output_dir) / "fc")
-    print(f"fc years_scored={metrics.n_scored_years} "
+    print(f"fc years_scored={len(metrics.per_year)} "
           + " ".join(f"hits@{k}={v:.6f}" for k, v in metrics.mean_hits.items())
           + f" mrr={metrics.mean_mrr:.6f} retrained=true")
     return 0

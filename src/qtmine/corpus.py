@@ -181,7 +181,10 @@ def load_aliases(path: str | Path) -> AliasMap:
             continue
         pairs[trade] = sci
     aliases = AliasMap(pairs)
-    aliases.validate()
+    try:
+        aliases.validate()
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     return aliases
 
 

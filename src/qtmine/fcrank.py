@@ -54,7 +54,6 @@ class FcMetrics:
     per_year: tuple[YearMetrics, ...]
     mean_hits: Mapping[int, float]
     mean_mrr: float
-    n_scored_years: int
 
 
 def _run_metrics(run: FcRun) -> YearMetrics:
@@ -76,8 +75,7 @@ def score_runs(runs: Sequence[FcRun]) -> FcMetrics:
     else:
         mean_hits = {k: 0.0 for k in HIT_KS}
         mean_mrr = 0.0
-    return FcMetrics(per_year=tuple(rows), mean_hits=mean_hits, mean_mrr=mean_mrr,
-                     n_scored_years=len(rows))
+    return FcMetrics(per_year=tuple(rows), mean_hits=mean_hits, mean_mrr=mean_mrr)
 
 
 def train_at_cutoff(
@@ -183,7 +181,7 @@ def write_fc_outputs(runs: Sequence[FcRun], metrics: FcMetrics, outdir: str | Pa
 
     payload = {
         "retrained": True,  # every cutoff trains its own model; kept for older readers
-        "n_scored_years": metrics.n_scored_years,
+        "n_scored_years": len(metrics.per_year),
         "mean_hits": {f"hits@{k}": v for k, v in metrics.mean_hits.items()},
         "mean_mrr": metrics.mean_mrr,
         "per_year": [

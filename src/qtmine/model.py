@@ -230,24 +230,18 @@ def _float64_blocks(kernel, x: np.ndarray, n_scratch: int, dtype=None) -> np.nda
     """`kernel(block, out, *scratch)` over x in float64 blocks, in x's shape and
     in `dtype` (x's by default).
 
-    A float32 input is widened per block and a float32 result rounded once at
-    the end, as SciPy's float32 loops do. The scratch buffers are reused."""
+    Each block of x is copied into a reused float64 buffer, the kernel writes
+    the reused `out`, and `out` is assigned into the result, so a float32
+    result is rounded once, as SciPy's float32 loops do."""
     x = np.asarray(x)
     flat = x.reshape(-1)
     result = np.empty(flat.shape, dtype=dtype or x.dtype)
-    in_place = result.dtype == np.float64
-    size = min(_BLOCK, flat.size)
-    block, out, *scratch = (np.empty(size) for _ in range(n_scratch + 2))
+    buffers = [np.empty(min(_BLOCK, flat.size)) for _ in range(n_scratch + 2)]
     for start in range(0, flat.size, _BLOCK):
-        stop = min(start + _BLOCK, flat.size)
-        src = flat[start:stop]
-        if src.dtype != np.float64:
-            src = block[:stop - start]
-            src[...] = flat[start:stop]
-        dst = result[start:stop] if in_place else out[:stop - start]
-        kernel(src, dst, *(buf[:stop - start] for buf in scratch))
-        if not in_place:
-            result[start:stop] = dst
+        block, out, *scratch = (buf[:flat.size - start] for buf in buffers)
+        block[...] = flat[start:start + _BLOCK]
+        kernel(block, out, *scratch)
+        result[start:start + _BLOCK] = out
     return result.reshape(x.shape)
 
 
@@ -742,42 +736,43 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Params:
     """Read a checkpoint; any truncation, shape mismatch or non-finite weight is fatal."""
     path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
     try:
-        sidecar = json.loads(read_text(sidecar_path, "checkpoint sidecar"))
+        text = read_text(str(path) + ".json", "checkpoint sidecar")
+    except DataFormatError as exc:  # it names the sidecar, and so the checkpoint, once
+        raise CheckpointError(str(exc)) from None
+    try:
+        sidecar = json.loads(text)
         if sidecar["format_version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported sidecar format_version {sidecar['format_version']!r}")
         config = ModelConfig(**sidecar["model"])
         declared = [(t["name"], tuple(t["shape"])) for t in sidecar["tensors"]]
+        expected = tensor_shapes(config)
+        if declared != expected:
+            raise CheckpointError(f"sidecar tensors inconsistent with config: "
+                                  f"expected {expected[:3]}..., found {declared[:3]}...")
+
         raw = path.read_bytes()
-    except (OSError, KeyError, TypeError, ValueError, RecursionError, DataFormatError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
+        if len(raw) < header_len or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad checkpoint magic")
+        version, n_floats = struct.unpack("<IQ", raw[len(CHECKPOINT_MAGIC):header_len])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        expected_floats = sum(math.prod(shape) for _, shape in expected)
+        if n_floats != expected_floats:
+            raise CheckpointError(f"checkpoint declares {n_floats} floats, config implies {expected_floats}")
+        if len(raw) - header_len != 4 * n_floats:
+            raise CheckpointError(f"checkpoint holds {len(raw) - header_len} data bytes, header declares {n_floats} floats")
+        data = np.frombuffer(raw, dtype="<f4", offset=header_len)
 
-    expected = tensor_shapes(config)
-    if declared != expected:
-        raise CheckpointError(
-            f"sidecar tensors inconsistent with config: expected {expected[:3]}..., found {declared[:3]}..."
-        )
-
-    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
-    if len(raw) < header_len or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic in {path}")
-    version, n_floats = struct.unpack("<IQ", raw[len(CHECKPOINT_MAGIC):header_len])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    expected_floats = sum(math.prod(shape) for _, shape in expected)
-    if n_floats != expected_floats:
-        raise CheckpointError(f"checkpoint declares {n_floats} floats, config implies {expected_floats}")
-    if len(raw) - header_len != 4 * n_floats:
-        raise CheckpointError(f"checkpoint holds {len(raw) - header_len} data bytes, header declares {n_floats} floats")
-    data = np.frombuffer(raw, dtype="<f4", offset=header_len)
-
-    tensors = {}
-    offset = 0
-    for name, shape in expected:
-        chunk = data[offset:offset + math.prod(shape)]
-        if not np.isfinite(chunk).all():
-            raise CheckpointError(f"non-finite weights in tensor {name} of {path}")
-        tensors[name] = chunk.astype(np.float32).reshape(shape)
-        offset += chunk.size
+        tensors = {}
+        offset = 0
+        for name, shape in expected:
+            chunk = data[offset:offset + math.prod(shape)]
+            if not np.isfinite(chunk).all():
+                raise CheckpointError(f"non-finite weights in tensor {name}")
+            tensors[name] = chunk.astype(np.float32).reshape(shape)
+            offset += chunk.size
+    except (OSError, QtmineError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise CheckpointError(f"checkpoint {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return Params.from_named(config, tensors)

@@ -179,7 +179,7 @@ def topk_tokens(probs: np.ndarray, vocab: Vocab, k: int,
         k = int(allowed.size)
     p = probs[allowed]
     order = np.lexsort((allowed, -p))[:k]
-    return [(int(allowed[i]), vocab.token_text(int(allowed[i])), float(p[i])) for i in order]
+    return [(int(allowed[i]), decode(vocab, [int(allowed[i])]), float(p[i])) for i in order]
 
 
 def score_probs(probs: Sequence[np.ndarray], target: TargetSpec) -> QtScore:

@@ -62,7 +62,6 @@ class Vocab:
     pad_id: ClassVar[int] = SPECIAL["pad"]
     bos_id: ClassVar[int] = SPECIAL["bos"]
     eos_id: ClassVar[int] = SPECIAL["eos"]
-    unk_id: ClassVar[int] = SPECIAL["unk"]
     special_ids: ClassVar[frozenset[int]] = frozenset(SPECIAL.values())
 
     def __post_init__(self) -> None:
@@ -103,10 +102,6 @@ class Vocab:
     def merge_rank(self) -> dict[tuple[int, int], int]:
         """Merge pair -> its rank (the order it was learned in)."""
         return {pair: i for i, pair in enumerate(self.merges)}
-
-    def token_text(self, token_id: int) -> str:
-        """Human-readable form of one token (special markers render literally)."""
-        return self.tokens[token_id].decode("utf-8", errors="replace")
 
 
 def _utf8(text: str) -> bytes:

@@ -6,6 +6,7 @@ per-item rule actually does.
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -156,12 +157,22 @@ def test_exclusion_drops_items(tiny_setup):
     skip = {items[0].item_id, items[1].item_id}
     report = eval_analogies(params, vocab, items, exclude=skip)
     n_opp = sum(1 for it in items if it.category == "opposites") - 2
-    assert report.category("opposites").n == n_opp
+    assert {r.category: r for r in report.categories}["opposites"].n == n_opp
     assert set(report.excluded) == skip
     with pytest.raises(EvalError):
         eval_analogies(params, vocab, items, exclude=[it.item_id for it in items])
-    with pytest.raises(KeyError):
-        report.category("no-such-category")
+
+
+def test_a_category_under_two_subcategories_is_an_eval_error(tiny_setup, monkeypatch):
+    vocab, params = tiny_setup
+    items = make_items()
+    first = next(i for i, it in enumerate(items) if it.category == "past-tense")
+    items[first + 1] = dataclasses.replace(items[first + 1], subcategory="antiviral")
+    monkeypatch.setattr("qtmine.analogy.predict_queries",
+                        lambda *a: pytest.fail("the model ran before the check"))
+    with pytest.raises(EvalError, match=rf"item {items[first + 1].item_id}: category 'past-tense' "
+                                        "is under subcategory 'grammar', got 'antiviral'"):
+        eval_analogies(params, vocab, items)
 
 
 def test_sample_kshot_contract():

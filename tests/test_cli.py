@@ -14,6 +14,7 @@ import os
 import platform
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -23,13 +24,14 @@ import numpy as np
 import pytest
 
 import synth
-from qtmine.cli import _parse_years, build_parser, main
+from qtmine.cli import _load_model, _parse_years, build_parser, main
 from qtmine.config import RunConfig, apply_overrides, load_config
-from qtmine.errors import DataFormatError, OutputError, QtmineError
+from qtmine.corpus import load_aliases
+from qtmine.errors import CheckpointError, DataFormatError, OutputError, QtmineError
 from qtmine.highlight import parse_html_scores
-from qtmine.model import load_checkpoint, save_checkpoint
+from qtmine.model import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from qtmine.qt import DEFAULT_RANK_TEMPLATE
-from qtmine.tokenizer import load_vocab
+from qtmine.tokenizer import Vocab, load_vocab, save_vocab
 from qtmine.util import (get_logger, keep_freed_memory, kv, max_workers, pmap, setup_logging,
                          write_atomic)
 
@@ -495,6 +497,60 @@ def test_checkpoint_vocab_size_mismatch_fails(ws, tmp_path, capsys):
                "--checkpoint", ws["ckpt"], "--query", "x <mask>"])
     assert rc == 1
     assert "vocab_size" in capsys.readouterr().err
+
+
+def _broken_load(ws, tmp_path, case):
+    """Break a copy of one workspace input in one way; returns the load that
+    must fail and the paths its error must name."""
+    if case == "alias-chain":
+        aliases = tmp_path / "aliases.csv"
+        aliases.write_text("trade_name,scientific_name\na,b\nb,c\n", encoding="utf-8")
+        return lambda: load_aliases(aliases), [aliases]
+    ckpt = tmp_path / "m.ckpt"
+    sidecar = json.loads(Path(ws["ckpt"] + ".json").read_text(encoding="utf-8"))
+    raw = Path(ws["ckpt"]).read_bytes()
+    if case == "sidecar-format-version":
+        sidecar["format_version"] = 99
+    if case == "sidecar-tensors":
+        sidecar["tensors"][0]["shape"] = [1, 1]
+    if case == "header-version":
+        raw = raw[:len(CHECKPOINT_MAGIC)] + struct.pack("<I", 99) + raw[len(CHECKPOINT_MAGIC) + 4:]
+    if case == "data-bytes-short":
+        raw = raw[:-4]
+    if case == "checkpoint-is-a-directory":
+        ckpt.mkdir()
+    else:
+        ckpt.write_bytes(raw)
+    if case != "sidecar-missing":
+        Path(str(ckpt) + ".json").write_text(json.dumps(sidecar), encoding="utf-8")
+    if case == "vocab-size-mismatch":
+        vocab = tmp_path / "small.json"
+        save_vocab(Vocab(load_vocab(ws["vocab"]).merges[:10]), vocab)
+        args = argparse.Namespace(vocab=str(vocab), checkpoint=str(ckpt))
+        return lambda: _load_model(args), [ckpt, vocab]
+    return lambda: load_checkpoint(ckpt), [ckpt]
+
+
+_LOAD_ERRORS = {
+    "sidecar-missing": (CheckpointError, "cannot read checkpoint sidecar .*No such file"),
+    "checkpoint-is-a-directory": (CheckpointError, "Is a directory"),
+    "sidecar-format-version": (CheckpointError, "unsupported sidecar format_version 99"),
+    "sidecar-tensors": (CheckpointError, "sidecar tensors inconsistent with config"),
+    "header-version": (CheckpointError, "unsupported checkpoint version 99"),
+    "data-bytes-short": (CheckpointError, "data bytes, header declares"),
+    "alias-chain": (DataFormatError, "alias map not idempotent"),
+    "vocab-size-mismatch": (DataFormatError, "vocab_size 300 != vocabulary size 271"),
+}
+
+
+@pytest.mark.parametrize("case", _LOAD_ERRORS)
+def test_a_load_error_names_each_of_its_files_once(ws, tmp_path, case):
+    error_type, reason = _LOAD_ERRORS[case]
+    load, paths = _broken_load(ws, tmp_path, case)
+    with pytest.raises(error_type, match=reason) as info:
+        load()
+    for path in paths:
+        assert str(info.value).count(str(path)) == 1, str(info.value)
 
 
 def test_rank_command_writes_csv_and_json(ws, tmp_path):

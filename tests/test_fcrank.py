@@ -107,12 +107,11 @@ def test_score_runs_excludes_empty_years():
     scored = FcRun(2001, ("a", "b"), ranked_items("a", "b"), (("a", 2002),))
     empty = FcRun(1995, (), (), (("a", 2002),))
     metrics = score_runs([empty, scored])
-    assert metrics.n_scored_years == 1
     assert len(metrics.per_year) == 1
     assert metrics.mean_hits[1] == 1.0
     assert metrics.mean_mrr == pytest.approx(1.0)
     silent = score_runs([empty])
-    assert silent.n_scored_years == 0
+    assert len(silent.per_year) == 0
     assert silent.mean_hits == {k: 0.0 for k in HIT_KS}
 
 
@@ -235,7 +234,7 @@ def test_fc_analysis_records_empty_years(fc_docs, qtmine_log):
                                 vocab_size=FC_VOCAB, model_dims=MODEL_DIMS,
                                 train_cfg=FC_TRAIN, base_seed=0)
     assert runs[0].candidates == () and runs[0].ranked == ()
-    assert metrics.n_scored_years == 1
+    assert len(metrics.per_year) == 1
     assert metrics.per_year[0].cutoff_year == 2001
     assert [m for m in qtmine_log if "1995" in m] == ["event=fc_no_candidates cutoff=1995"]
 

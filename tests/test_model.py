@@ -849,3 +849,21 @@ def test_normal_quantile_matches_statistics_inv_cdf():
     _assert_close(got, want, 1e-15)
     np.testing.assert_array_equal((got * INIT_STDDEV).astype(np.float32),
                                   (want * INIT_STDDEV).astype(np.float32))
+
+
+@pytest.mark.parametrize("n", [0, model._BLOCK, model._BLOCK + 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_loop_edges_match_the_standard_library(n, dtype):
+    """No element, exactly one block, and one element past it: a float32 result
+    is the standard library's value rounded once, a float64 one agrees to 1e-15."""
+    rng = np.random.default_rng(n)
+    x = (rng.standard_normal(n) * 2.0).astype(dtype)
+    u = rng.uniform(model._PHI_MINUS_2, model._PHI_PLUS_2, n)
+    inv_cdf = statistics.NormalDist().inv_cdf
+    for got, want in [(model._erf(x), [math.erf(float(v)) for v in x]),
+                      (model._normal_quantile(u, dtype=dtype), [inv_cdf(float(v)) for v in u])]:
+        assert got.shape == (n,) and got.dtype == dtype
+        if dtype is np.float32:
+            np.testing.assert_array_equal(got, np.array(want, dtype=np.float32))
+        else:
+            _assert_close(got, np.array(want, dtype=np.float64), 1e-15)

@@ -263,7 +263,7 @@ def test_merges_never_cross_document_boundaries():
 def test_special_ids_and_layout():
     vocab = train_bpe(SMALL_CORPUS, 300)
     assert vocab.tokens[: N_BYTES] == [bytes([b]) for b in range(N_BYTES)]
-    specials = [vocab.mask_id, vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.unk_id]
+    specials = [vocab.mask_id, vocab.pad_id, vocab.bos_id, vocab.eos_id, SPECIAL["unk"]]
     assert specials == list(range(N_BYTES, N_BYTES + 5))
     assert vocab.special_ids == frozenset(specials) == frozenset(SPECIAL.values())
     assert vocab.tokens[N_BYTES:FIRST_MERGED] == [SPECIAL_MARKERS[n] for n in SPECIAL_NAMES]
