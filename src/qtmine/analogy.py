@@ -14,7 +14,6 @@ on them, and evaluate the base and the tuned model with those item ids excluded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +25,7 @@ from .corpus import AnalogyItem
 from .errors import EvalError
 from .qt import QuerySpec, masked_span_query, predict_queries
 from .tokenizer import Vocab
-from .util import csv_bytes, get_logger, kv, write_atomic
+from .util import csv_bytes, get_logger, kv, write_atomic, write_json
 
 logger = get_logger()
 
@@ -162,4 +161,4 @@ def report_summary(report: AnalogyReport) -> dict:
 
 
 def write_report_json(report: AnalogyReport, path: str | Path) -> None:
-    write_atomic(path, json.dumps(report_summary(report), indent=2).encode("utf-8"))
+    write_json(path, report_summary(report))

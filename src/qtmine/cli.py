@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -41,8 +40,8 @@ from .corpus import (YEAR_MAX, YEAR_MIN, load_aliases, load_analogies, load_appr
                      load_corpus, load_trials)
 from .errors import DataFormatError, EvalError, QtmineError
 from .tokenizer import encode, load_vocab, save_vocab, train_bpe
-from .util import (csv_bytes, get_logger, keep_freed_memory, kv, read_text, setup_logging,
-                   write_atomic)
+from .util import (csv_bytes, get_logger, keep_freed_memory, kv, reading, setup_logging,
+                   write_atomic, write_json)
 
 logger = get_logger()
 
@@ -176,7 +175,7 @@ def cmd_kshot(args, cfg: RunConfig) -> int:
             "delta_top1": {b.category: a.top1 - b.top1 for b, a in rows},
             "delta_top5": {b.category: a.top5 - b.top5 for b, a in rows},
         }
-        write_atomic(args.out_json, json.dumps(payload, indent=2).encode("utf-8"))
+        write_json(args.out_json, payload)
     if args.out:
         M.save_checkpoint(tuned, args.out)
     return 0
@@ -215,7 +214,7 @@ def cmd_rank(args, cfg: RunConfig) -> int:
              "per_position": list(item.score.per_position)}
             for item in ranked
         ]
-        write_atomic(args.out_json, json.dumps(payload, indent=2).encode("utf-8"))
+        write_json(args.out_json, payload)
     return 0
 
 
@@ -268,7 +267,8 @@ def cmd_side_effects(args, cfg: RunConfig) -> int:
 def cmd_highlight(args, cfg: RunConfig) -> int:
     vocab, params = _load_model(args)
     if args.passage_file:
-        passage = read_text(args.passage_file, "passage file")
+        with reading(args.passage_file, "passage file") as passage:
+            pass  # only the read is guarded: scoring errors keep their own type
     else:
         passage = _require(args.passage, "--passage")
     doc = H.highlight_passage(params, vocab, passage, args.target_term,

@@ -20,7 +20,7 @@ from .model import ModelConfig
 from .qt import DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE
 from .highlight import DEFAULT_HIGHLIGHT_TEMPLATE
 from .train import TrainConfig
-from .util import read_text
+from .util import reading, utf8
 
 
 @dataclass
@@ -69,7 +69,7 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 _ACCEPTS = {str: (str,), int: (int,), float: (int, float)}
 
 
-def _checked(path, key: str, value):
+def _checked(key: str, value):
     """`value` for RunConfig field `key`, or a DataFormatError if its type is wrong."""
     hint = _FIELD_TYPES[key]
     types = typing.get_args(hint) or (hint,)
@@ -77,12 +77,9 @@ def _checked(path, key: str, value):
         return None
     base = next(t for t in types if t is not type(None))
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[base]):
-        raise DataFormatError(f"config {path}: {key} must be {base.__name__}, got {value!r}")
+        raise DataFormatError(f"{key} must be {base.__name__}, got {value!r}")
     if base is str:
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, such as a \ud800 escape
-            raise DataFormatError(f"config {path}: {key} is not valid UTF-8, got {value!r}") from None
+        utf8(value, key)
     return base(value)
 
 
@@ -91,17 +88,15 @@ def load_config(path: str | Path | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    try:
-        data = json.loads(read_text(path, "config"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataFormatError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DataFormatError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(data) - _FIELD_TYPES.keys())
-    if unknown:
-        raise DataFormatError(f"config {path} has unknown keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        setattr(cfg, key, _checked(path, key, value))
+    with reading(path, "config") as text:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise DataFormatError("must hold a JSON object")
+        unknown = sorted(set(data) - _FIELD_TYPES.keys())
+        if unknown:
+            raise DataFormatError(f"unknown keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            setattr(cfg, key, _checked(key, value))
     return cfg
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataFormatError
-from .util import get_logger, kv, read_text
+from .util import get_logger, kv, reading, utf8
 
 log = get_logger(__name__)
 
@@ -118,10 +118,7 @@ def _parse_document(obj: dict) -> Document:
     text = {key: str(obj.get(key, "")) for key in ("id", "title", "abstract", "body",
                                                     "source", "license")}
     for key, value in text.items():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:  # an undecodable byte or a \ud800 escape
-            raise ValueError(f"line is not valid UTF-8: field {key!r} holds a lone surrogate") from None
+        utf8(value, f"field {key!r}")
     for key in ("id", "title", "abstract", "body"):
         if key not in obj or obj[key] is None:
             raise ValueError(f"missing required field {key!r}")
@@ -140,27 +137,27 @@ def load_corpus(path: str | Path) -> DocumentSet:
     A document with a field that is not valid UTF-8, from an undecodable
     byte or a lone-surrogate escape, is malformed like any other bad line.
     """
-    text = read_text(path, "corpus", errors="surrogateescape")
     documents: list[Document] = []
     seen_ids: set[str] = set()
     malformed = 0
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            doc = _parse_document(obj)
-            if doc.id in seen_ids:
-                raise ValueError(f"duplicate document id {doc.id!r}")
-        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
-            malformed += 1
-            log.warning(kv(event="malformed_document", line=lineno, reason=str(exc)))
-            continue
-        seen_ids.add(doc.id)
-        documents.append(doc)
+    with reading(path, "corpus", errors="surrogateescape") as text:
+        for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("line is not a JSON object")
+                doc = _parse_document(obj)
+                if doc.id in seen_ids:
+                    raise ValueError(f"duplicate document id {doc.id!r}")
+            except (ValueError, RecursionError, DataFormatError) as exc:  # deep nesting; a lone surrogate
+                malformed += 1
+                log.warning(kv(event="malformed_document", line=lineno, reason=str(exc)))
+                continue
+            seen_ids.add(doc.id)
+            documents.append(doc)
     log.info(kv(event="corpus_loaded", path=path, documents=len(documents), malformed=malformed))
     return DocumentSet(documents, malformed_count=malformed)
 
@@ -173,18 +170,16 @@ def filter_by_year(docs: DocumentSet, cutoff: int) -> DocumentSet:
 
 def load_aliases(path: str | Path) -> AliasMap:
     pairs = {}
-    for lineno, row in _read_csv(path, ("trade_name", "scientific_name")):
-        trade = row["trade_name"].strip().lower()
-        sci = row["scientific_name"].strip().lower()
-        if not (trade and sci):
-            log.warning(kv(event="alias_skipped", line=lineno, reason="empty_name"))
-            continue
-        pairs[trade] = sci
-    aliases = AliasMap(pairs)
-    try:
+    with reading(path, "aliases file") as text:
+        for lineno, row in _csv_rows(text, ("trade_name", "scientific_name")):
+            trade = row["trade_name"].strip().lower()
+            sci = row["scientific_name"].strip().lower()
+            if not (trade and sci):
+                log.warning(kv(event="alias_skipped", line=lineno, reason="empty_name"))
+                continue
+            pairs[trade] = sci
+        aliases = AliasMap(pairs)
         aliases.validate()
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
     return aliases
 
 
@@ -192,26 +187,21 @@ def load_trials(path: str | Path, aliases: AliasMap | None = None) -> list[Trial
     """Load trial rows; drug names are lower-cased, alias-collapsed, de-duplicated."""
     aliases = aliases if aliases is not None else AliasMap()
     records: list[TrialRecord] = []
-    for lineno, row in _read_csv(path, ("trial_id", "year", "drugs", "condition")):
-        year = _row_year(row["year"], "trial_skipped", lineno)
-        if year is None:
-            continue
-        drugs: list[str] = []
-        for raw in row["drugs"].split(";"):
-            name = aliases.canonical(raw)
-            if name and name not in drugs:
-                drugs.append(name)
-        if not drugs:
-            log.warning(kv(event="trial_skipped", line=lineno, reason="empty_drugs"))
-            continue
-        records.append(
-            TrialRecord(
-                trial_id=row["trial_id"].strip(),
-                year=year,
-                drugs=tuple(drugs),
-                condition=row["condition"].strip(),
-            )
-        )
+    with reading(path, "trials file") as text:
+        for lineno, row in _csv_rows(text, ("trial_id", "year", "drugs", "condition")):
+            year = _row_year(row["year"], "trial_skipped", lineno)
+            if year is None:
+                continue
+            drugs: list[str] = []
+            for raw in row["drugs"].split(";"):
+                name = aliases.canonical(raw)
+                if name and name not in drugs:
+                    drugs.append(name)
+            if not drugs:
+                log.warning(kv(event="trial_skipped", line=lineno, reason="empty_drugs"))
+                continue
+            records.append(TrialRecord(trial_id=row["trial_id"].strip(), year=year,
+                                       drugs=tuple(drugs), condition=row["condition"].strip()))
     log.info(kv(event="trials_loaded", path=path, records=len(records)))
     return records
 
@@ -225,15 +215,16 @@ def candidates_at_year(trials: list[TrialRecord], year: int) -> list[str]:
 def load_approvals(path: str | Path, aliases: AliasMap | None = None) -> list[ApprovalRecord]:
     aliases = aliases if aliases is not None else AliasMap()
     records = []
-    for lineno, row in _read_csv(path, ("drug", "approval_year")):
-        year = _row_year(row["approval_year"], "approval_skipped", lineno)
-        if year is None:
-            continue
-        drug = aliases.canonical(row["drug"])
-        if not drug:
-            log.warning(kv(event="approval_skipped", line=lineno, reason="empty_drug"))
-            continue
-        records.append(ApprovalRecord(drug=drug, approval_year=year))
+    with reading(path, "approvals file") as text:
+        for lineno, row in _csv_rows(text, ("drug", "approval_year")):
+            year = _row_year(row["approval_year"], "approval_skipped", lineno)
+            if year is None:
+                continue
+            drug = aliases.canonical(row["drug"])
+            if not drug:
+                log.warning(kv(event="approval_skipped", line=lineno, reason="empty_drug"))
+                continue
+            records.append(ApprovalRecord(drug=drug, approval_year=year))
     log.info(kv(event="approvals_loaded", path=path, records=len(records)))
     return records
 
@@ -254,45 +245,45 @@ def _row_year(raw: str, event: str, lineno: int) -> int | None:
 
 def load_analogies(path: str | Path) -> list[AnalogyItem]:
     """Load the analogy TSV; item ids are `category#ordinal` within each category."""
-    text = read_text(path, "analogies file")
     items: list[AnalogyItem] = []
     per_category: dict[str, int] = {}
     subcategory_of: dict[str, str] = {}
-    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 6:
-            raise DataFormatError(f"{path}:{lineno}: expected 6 tab-separated columns, got {len(cols)}")
-        category, subcategory, a, b, c, d = (col.strip() for col in cols)
-        if subcategory not in SUBCATEGORIES:
-            raise DataFormatError(
-                f"{path}:{lineno}: subcategory must be one of {SUBCATEGORIES}, got {subcategory!r}"
-            )
-        if not all((a, b, c, d)):
-            raise DataFormatError(f"{path}:{lineno}: analogy terms must be nonempty")
-        if subcategory_of.setdefault(category, subcategory) != subcategory:
-            raise DataFormatError(f"{path}:{lineno}: category {category!r} is under subcategory "
-                                  f"{subcategory_of[category]!r}, got {subcategory!r}")
-        ordinal = per_category.get(category, 0)
-        per_category[category] = ordinal + 1
-        items.append(AnalogyItem(f"{category}#{ordinal}", category, subcategory, a, b, c, d))
+    with reading(path, "analogies file") as text:
+        for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            cols = line.split("\t")
+            if len(cols) != 6:
+                raise DataFormatError(f"line {lineno}: expected 6 tab-separated columns, got {len(cols)}")
+            category, subcategory, a, b, c, d = (col.strip() for col in cols)
+            if subcategory not in SUBCATEGORIES:
+                raise DataFormatError(f"line {lineno}: subcategory must be one of {SUBCATEGORIES}, "
+                                      f"got {subcategory!r}")
+            if not all((a, b, c, d)):
+                raise DataFormatError(f"line {lineno}: analogy terms must be nonempty")
+            if subcategory_of.setdefault(category, subcategory) != subcategory:
+                raise DataFormatError(f"line {lineno}: category {category!r} is under subcategory "
+                                      f"{subcategory_of[category]!r}, got {subcategory!r}")
+            ordinal = per_category.get(category, 0)
+            per_category[category] = ordinal + 1
+            items.append(AnalogyItem(f"{category}#{ordinal}", category, subcategory, a, b, c, d))
     for category, count in per_category.items():
         log.info(kv(event="analogy_category", category=category, items=count))
     return items
 
 
-def _read_csv(path: str | Path, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
-    """Each row with the number of the line it ends on, so a quoted field that
-    spans lines does not shift the numbers of the rows after it."""
-    reader = csv.DictReader(io.StringIO(read_text(path, "CSV file"), newline=""))
+def _csv_rows(text: str, required: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """Each row of a CSV text with the number of the line it ends on, so a
+    quoted field that spans lines does not shift the numbers of the rows after
+    it. A missing required column, or a row the csv module refuses, raises."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         header = reader.fieldnames or []
         for column in required:
             if column not in header:
-                raise DataFormatError(f"{path}: missing required column {column!r}")
+                raise DataFormatError(f"missing required column {column!r}")
         return [(reader.line_num, {k: (v or "") for k, v in row.items()}) for row in reader]
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         # DictReader.line_num still counts the last good row; its reader's counts this one.
-        raise DataFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
+        raise DataFormatError(f"line {reader.reader.line_num}: {exc}") from None

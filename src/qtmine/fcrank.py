@@ -11,7 +11,6 @@ and their metrics; `write_fc_outputs` writes them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -25,7 +24,7 @@ from .errors import EvalError
 from .qt import (DEFAULT_RANK_TEMPLATE, DEFAULT_TARGET_PHRASE, DRUG_SLOT, RankedItem, TargetSpec,
                  check_slot, rank_by_qt)
 from .tokenizer import Vocab, train_and_encode
-from .util import csv_bytes, get_logger, kv, write_atomic
+from .util import csv_bytes, get_logger, kv, write_atomic, write_json
 
 logger = get_logger()
 
@@ -191,4 +190,4 @@ def write_fc_outputs(runs: Sequence[FcRun], metrics: FcMetrics, outdir: str | Pa
             for r in metrics.per_year
         ],
     }
-    write_atomic(outdir / "fc_metrics.json", json.dumps(payload, indent=2).encode("utf-8"))
+    write_json(outdir / "fc_metrics.json", payload)

@@ -79,7 +79,7 @@ import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it here, not in the first training request
 
 from .errors import CheckpointError, DataFormatError, QtmineError
-from .util import read_text, write_atomic
+from .util import reading, write_atomic, write_json
 
 LN_EPS = 1e-5
 # Standard deviation of the truncated normal that initialises every matrix.
@@ -730,17 +730,13 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
         "model": asdict(params.config),
         "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in tensors],
     }
-    write_atomic(str(path) + ".json", json.dumps(sidecar, indent=2).encode("utf-8"))
+    write_json(str(path) + ".json", sidecar)
 
 
 def load_checkpoint(path: str | Path) -> Params:
     """Read a checkpoint; any truncation, shape mismatch or non-finite weight is fatal."""
     path = Path(path)
-    try:
-        text = read_text(str(path) + ".json", "checkpoint sidecar")
-    except DataFormatError as exc:  # it names the sidecar, and so the checkpoint, once
-        raise CheckpointError(str(exc)) from None
-    try:
+    with reading(str(path) + ".json", "checkpoint sidecar", CheckpointError) as text:
         sidecar = json.loads(text)
         if sidecar["format_version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported sidecar format_version {sidecar['format_version']!r}")
@@ -751,7 +747,7 @@ def load_checkpoint(path: str | Path) -> Params:
             raise CheckpointError(f"sidecar tensors inconsistent with config: "
                                   f"expected {expected[:3]}..., found {declared[:3]}...")
 
-        raw = path.read_bytes()
+    with reading(path, "checkpoint", CheckpointError, errors=None) as raw:
         header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
         if len(raw) < header_len or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
             raise CheckpointError("bad checkpoint magic")
@@ -773,6 +769,4 @@ def load_checkpoint(path: str | Path) -> Params:
                 raise CheckpointError(f"non-finite weights in tensor {name}")
             tensors[name] = chunk.astype(np.float32).reshape(shape)
             offset += chunk.size
-    except (OSError, QtmineError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise CheckpointError(f"checkpoint {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return Params.from_named(config, tensors)

@@ -34,7 +34,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .util import get_logger, kv, read_text, write_atomic
+from .util import get_logger, kv, reading, utf8, write_atomic
 
 log = get_logger(__name__)
 
@@ -104,15 +104,6 @@ class Vocab:
         return {pair: i for i, pair in enumerate(self.merges)}
 
 
-def _utf8(text: str) -> bytes:
-    """The UTF-8 bytes of `text`; a lone surrogate in it is a DataFormatError."""
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise DataFormatError(f"text is not valid UTF-8: lone surrogate "
-                              f"{text[exc.start]!r} at character {exc.start}") from None
-
-
 def train_bpe(texts: Sequence[str], vocab_size: int) -> Vocab:
     """Learn BPE merges from `texts`; see `train_and_encode`."""
     return train_and_encode(texts, vocab_size)[0]
@@ -166,7 +157,7 @@ def train_and_encode(texts: Sequence[str], vocab_size: int) -> tuple[Vocab, list
             f"vocab_size must exceed {FIRST_MERGED} (256 bytes + {len(SPECIAL_NAMES)} specials), got {vocab_size}"
         )
     started = perf_counter()
-    data = [_utf8(text) for text in texts]
+    data = [utf8(text) for text in texts]
     offsets = np.cumsum([0] + [len(d) for d in data])
     n_bytes = live = int(offsets[-1])
     if not live:
@@ -275,7 +266,7 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
     Special ids are never produced from raw text; the 256 byte tokens guarantee
     coverage of any UTF-8 input.
     """
-    ids: list[int] = list(_utf8(text))
+    ids: list[int] = list(utf8(text))
     n = len(ids)
     if n < 2:
         return ids
@@ -353,22 +344,15 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     """Read a vocabulary file. Only its merges define the vocabulary; its
-    special ids must be SPECIAL and its token table the one the merges make.
-    Every `DataFormatError` it raises names the file."""
-    try:
-        doc = json.loads(read_text(path, "vocab file"))
+    special ids must be SPECIAL and its token table the one the merges make."""
+    with reading(path, "vocab file") as text:
+        doc = json.loads(text)
         merges = [(a, b) for a, b in doc["merges"]]
         tokens = [t.encode("utf-8") if type(t) is str else _token_from_json(t)
                   for t in doc["tokens"]]
-        special = doc["special"]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise DataFormatError(f"malformed vocab file {path}: {exc}") from exc
-    if special != SPECIAL:
-        raise DataFormatError(f"vocab file {path}: special ids must be {SPECIAL}, got {special!r}")
-    try:
+        if doc["special"] != SPECIAL:
+            raise DataFormatError(f"special ids must be {SPECIAL}, got {doc['special']!r}")
         vocab = Vocab(merges)
-    except DataFormatError as exc:
-        raise DataFormatError(f"vocab file {path}: {exc}") from exc
-    if tokens != vocab.tokens:
-        raise DataFormatError(f"vocab file {path}: its tokens are not the ones its merges make")
+        if tokens != vocab.tokens:
+            raise DataFormatError("its tokens are not the ones its merges make")
     return vocab

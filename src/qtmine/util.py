@@ -1,14 +1,17 @@
-"""Small shared helpers: key=value logging, the data-file reader, the atomic
-file writer, the CLI's allocator setting, and a thread map no module uses.
+"""Small shared helpers: key=value logging, the input-file guard, the UTF-8
+check, the atomic and JSON file writers, the CLI's allocator setting, and a
+thread map no module uses.
 
-Every loader reads its file through `read_text`, so a missing, unreadable or
-non-UTF-8 file ends in a `DataFormatError` rather than an `OSError` or
-`UnicodeDecodeError`, and a leading byte-order mark is dropped for every one.
+Every loader parses its file inside `reading`, the one place that decides how
+a bad input file is reported: a failure to read, decode or parse it is one
+typed error, `{what} {path}: {reason}`, that names the file once, so loaders
+raise bare reasons. `utf8` is the one check of outside text for lone surrogates.
+
 Every output file (checkpoints, vocabularies, the loss curve, rankings,
 analogy and k-shot reports, highlight HTML and the fc outputs) is written
 through `write_atomic`, so a reader sees either the old file or the new one,
 never a half-written one, and a write that fails ends in an `OutputError`
-naming the file.
+naming the file. `write_json` is the indented JSON form of it.
 
 `keep_freed_memory` pins glibc's malloc thresholds for the CLI process, which
 `cli.main` asks for first. Under glibc's defaults the megabyte-sized NumPy
@@ -35,13 +38,15 @@ import csv
 import ctypes
 import functools
 import io
+import json
 import logging
 import os
 import secrets
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataFormatError, OutputError, QtmineError
 
@@ -94,20 +99,44 @@ def kv(**fields) -> str:
     return " ".join(parts)
 
 
-def read_text(path: str | Path, what: str, errors: str = "strict") -> str:
-    """The UTF-8 text of a data file; failing to read or decode it is a DataFormatError.
+@contextlib.contextmanager
+def reading(path: str | Path, what: str, error: type[QtmineError] = DataFormatError,
+            errors: str | None = "strict") -> Iterator[str | bytes]:
+    """Yield the text of the input file `path`, UTF-8 without a leading
+    byte-order mark, and report any failure to read or parse it as `error`.
 
-    `what` names the file in the message. With errors="surrogateescape" each
-    undecodable byte becomes a lone surrogate, for a caller that judges the
-    text line by line. One leading byte-order mark is dropped after decoding,
-    so a decode error's byte offset counts from the start of the file.
+    A file that cannot be read is `cannot read {what} {path}: {reason}`, one
+    that is not UTF-8 `{what} {path} is not valid UTF-8 at byte N` (counted
+    from the start of the file), and a parse error the `with` body raises
+    `{what} {path}: {reason}`. errors="surrogateescape" turns each undecodable
+    byte into a lone surrogate, for a caller that judges the text line by
+    line; errors=None yields the bytes undecoded.
     """
     try:
-        return Path(path).read_bytes().decode("utf-8", errors=errors).removeprefix("\ufeff")
+        data = Path(path).read_bytes()
+        if errors is not None:
+            data = data.decode("utf-8", errors=errors).removeprefix("\ufeff")
     except OSError as exc:
-        raise DataFormatError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{what} {path} is not valid UTF-8 at byte {exc.start}") from None
+        raise error(f"{what} {path} is not valid UTF-8 at byte {exc.start}") from None
+    # Parse errors: a bad JSON, number or base64 value, a missing key, a wrong
+    # type, deep nesting, a bad CSV row or binary header, or a loader's own rule.
+    try:
+        yield data
+    except (ValueError, KeyError, TypeError, RecursionError, csv.Error, struct.error,
+            QtmineError) as exc:
+        raise error(f"{what} {path}: {exc}") from exc
+
+
+def utf8(text: str, what: str = "text") -> bytes:
+    """The UTF-8 bytes of `text` from outside the program; a lone surrogate, from
+    an undecodable byte or a `\\ud800` JSON escape, is a DataFormatError."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataFormatError(f"{what} is not valid UTF-8: lone surrogate "
+                              f"{text[exc.start]!r} at character {exc.start}") from None
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -132,6 +161,11 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         if isinstance(exc, OSError):
             raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """`obj` as JSON indented by two spaces, non-ASCII escaped, through `write_atomic`."""
+    write_atomic(path, json.dumps(obj, indent=2).encode("utf-8"))
 
 
 def csv_bytes(rows) -> bytes:

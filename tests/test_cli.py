@@ -98,7 +98,7 @@ def test_load_config_invalid_json_raises(tmp_path):
 def test_load_config_nested_too_deeply_raises(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
-    with pytest.raises(DataFormatError, match="not valid JSON"):
+    with pytest.raises(DataFormatError, match=r"config .*cfg\.json: maximum recursion depth"):
         load_config(path)
 
 
@@ -1082,7 +1082,7 @@ def test_corpus_line_that_is_not_utf8_is_skipped_and_counted(ws, tmp_path):
     rc, err = run_cli_process(["--config", ws["config"], "--corpus", str(corpus),
                                "train-tokenizer", "--out", str(tmp_path / "vocab.json")])
     assert rc == 0 and "Traceback" not in err, err
-    assert re.search(r"event=malformed_document line=\d+ reason=line is not valid UTF-8", err), err
+    assert re.search(r"event=malformed_document line=\d+ reason=field '\w+' is not valid UTF-8", err), err
     assert re.search(r"event=corpus_loaded .* malformed=1\b", err), err
 
 

@@ -97,7 +97,8 @@ def test_load_corpus_skips_a_lone_surrogate_escape(tmp_path, qtmine_log, field):
     docs = load_corpus(path)
     assert [d.id for d in docs.documents] == ["doc0", "doc1"]
     assert docs.malformed_count == 1
-    assert f"line=2 reason=line is not valid UTF-8: field '{field}'" in qtmine_log[0]
+    assert (f"line=2 reason=field '{field}' is not valid UTF-8: lone surrogate '\\ud800' "
+            "at character 1") in qtmine_log[0]
 
 
 @pytest.mark.parametrize("loader", [load_corpus, load_trials, load_aliases,
@@ -235,7 +236,7 @@ def test_load_aliases(tmp_path, qtmine_log):
 def test_csv_loaders_reject_a_field_over_the_size_limit(tmp_path, loader, header):
     # The csv module refuses a field over csv.field_size_limit(), 131,072 characters.
     path = write_csv(tmp_path / "t.csv", header, ["x" * 200_000 + ",2001"])
-    with pytest.raises(DataFormatError, match=r"t\.csv:2: field larger than field limit"):
+    with pytest.raises(DataFormatError, match=r"t\.csv: line 2: field larger than field limit"):
         loader(path)
 
 
@@ -355,7 +356,7 @@ def test_load_analogies_rejects_a_category_under_a_second_subcategory(tmp_path):
         "opp\tantiviral\te\tf\tg\th\n",
         encoding="utf-8",
     )
-    with pytest.raises(DataFormatError, match=r"an\.tsv:2: category 'opp' is under subcategory "
+    with pytest.raises(DataFormatError, match=r"an\.tsv: line 2: category 'opp' is under subcategory "
                                               r"'grammar', got 'antiviral'"):
         load_analogies(path)
 
